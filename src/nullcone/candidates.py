@@ -19,6 +19,7 @@ from typing import Optional, Protocol, Sequence
 
 from .ratgeom import (
     GramSpace,
+    InvariantError,
     ResourceError,
     Vec,
     affinely_independent_subsets,
@@ -27,6 +28,7 @@ from .ratgeom import (
     perp,
     vscale,
 )
+from .rootdata import IntegerLattice, Levels
 
 
 class ProblemLike(Protocol):
@@ -37,6 +39,9 @@ class ProblemLike(Protocol):
     weights: tuple[tuple[Vec, int], ...]
     effective_rank: int
     orbit_cap: int
+
+    @property
+    def lattice(self) -> IntegerLattice: ...
 
     def orbit(self, v: Vec) -> tuple[Vec, ...]: ...
 
@@ -57,19 +62,18 @@ class CountBound:
     def is_equality(self) -> bool:
         return self.roots_negative == self.weights_below
 
+    @staticmethod
+    def of(levels: Levels) -> "CountBound":
+        return CountBound(len(levels.roots_negative), levels.mult_below)
+
 
 def count_bound(problem: ProblemLike, l: Vec) -> CountBound:
-    space = problem.space
-    negative = sum(1 for alpha in problem.roots if space.inner(l, alpha) < 0)
-    below = sum(m for v, m in problem.weights if space.inner(l, v) < 1)
-    return CountBound(negative, below)
+    return CountBound.of(problem.lattice.levels(l))
 
 
 def saturate(problem: ProblemLike, l: Vec) -> tuple[int, ...]:
     """Indices of all weights exactly on the hyperplane {inner(l, .) = 1}."""
-    space = problem.space
-    return tuple(i for i, (v, _) in enumerate(problem.weights)
-                 if space.inner(l, v) == 1)
+    return problem.lattice.levels(l).on
 
 
 @dataclass(frozen=True)
@@ -89,32 +93,42 @@ class Candidate:
         return self.bound.weights_below
 
 
-def candidate_from_subset(problem: ProblemLike,
-                          subset: Sequence[int]) -> Optional[Candidate]:
+def candidate_from_subset(problem: ProblemLike, subset: Sequence[int],
+                          tried: Optional[dict[Vec, Optional[Candidate]]] = None
+                          ) -> Optional[Candidate]:
     """Build the candidate generated by a weight subset, or None.
 
     Rejections: the affine hull passes through the origin; the saturated set
     has a different affine hull than the subset (some other spanning subset
-    regenerates that candidate); the foot leaves the convex hull; the
-    counting bound fails.
+    regenerates that candidate); the counting bound fails; the foot leaves
+    the convex hull.  Past the foot every test depends on l alone, so
+    `tried` records the result for each l and answers repeats from it.
     """
     space = problem.space
-    points = [problem.weights[i][0] for i in subset]
-    foot = perp(space, points)
+    foot = problem.lattice.foot(subset)
     if is_zero_vec(foot):
         return None
     l = vscale(1 / space.norm_sq(foot), foot)
-    members = saturate(problem, l)
-    member_points = [problem.weights[i][0] for i in members]
-    if perp(space, member_points) != foot:
-        return None
-    if not in_convex_hull(space, foot, member_points):
-        return None
-    bound = count_bound(problem, l)
+    if tried is not None and l in tried:
+        return tried[l]
+    result = _candidate_at(problem, l, foot)
+    if tried is not None:
+        tried[l] = result
+    return result
+
+
+def _candidate_at(problem: ProblemLike, l: Vec, foot: Vec) -> Optional[Candidate]:
+    levels = problem.lattice.levels(l)
+    bound = CountBound.of(levels)
     if not bound.holds:
         return None
-    at_least = sum(m for v, m in problem.weights if space.inner(l, v) >= 1)
-    return Candidate(l, members, foot, bound, at_least)
+    members = levels.on
+    member_points = [problem.weights[i][0] for i in members]
+    if perp(problem.space, member_points) != foot:
+        return None
+    if not in_convex_hull(problem.space, foot, member_points):
+        return None
+    return Candidate(l, members, foot, bound, levels.mult_at_least)
 
 
 def enumerate_candidates(problem: ProblemLike,
@@ -126,9 +140,10 @@ def enumerate_candidates(problem: ProblemLike,
     """
     points = tuple(v for v, _ in problem.weights)
     found: dict[Vec, Candidate] = {}
+    tried: dict[Vec, Optional[Candidate]] = {}
     if points and problem.effective_rank >= 1:
         for subset in affinely_independent_subsets(points, problem.effective_rank):
-            cand = candidate_from_subset(problem, subset)
+            cand = candidate_from_subset(problem, subset, tried)
             if cand is not None and cand.l not in found:
                 found[cand.l] = cand
     if not dedup:
@@ -147,14 +162,19 @@ def enumerate_candidates(problem: ProblemLike,
         seen.update(orbit)
         representative = min(orbit)
         # the Weyl group permutes candidates, so the minimum must be one
-        assert representative in found, \
-            f"Weyl image {representative} of candidate {l} was not enumerated"
+        if representative not in found:
+            raise InvariantError(
+                f"Weyl image {representative} of candidate {l} was not enumerated")
         kept[representative] = found[representative]
     return tuple(kept[l] for l in sorted(kept))
 
 
 def verify_candidate(problem: ProblemLike, cand: Candidate) -> list[str]:
-    """Independent recheck of every defining property of a candidate."""
+    """Independent recheck of every defining property of a candidate.
+
+    Every level test here is a `GramSpace.inner` call, so the integer
+    lattice kernel is checked against Fraction arithmetic.
+    """
     space = problem.space
     out: list[str] = []
     if is_zero_vec(cand.perp_point):
@@ -163,23 +183,27 @@ def verify_candidate(problem: ProblemLike, cand: Candidate) -> list[str]:
     expected_l = vscale(1 / space.norm_sq(cand.perp_point), cand.perp_point)
     if cand.l != expected_l:
         out.append(f"candidate {cand.l}: l is not foot/|foot|^2 = {expected_l}")
+    heights = [space.inner(cand.l, v) for v, _ in problem.weights]
     member_points = [problem.weights[i][0] for i in cand.member_indices]
-    for i, point in zip(cand.member_indices, member_points):
-        if space.inner(cand.l, point) != 1:
+    for i in cand.member_indices:
+        if heights[i] != 1:
             out.append(f"candidate {cand.l}: member weight {i} is off the hyperplane")
-    if saturate(problem, cand.l) != tuple(cand.member_indices):
+    if tuple(i for i, h in enumerate(heights) if h == 1) \
+            != tuple(cand.member_indices):
         out.append(f"candidate {cand.l}: member set is not saturated")
     if member_points and perp(space, member_points) != cand.perp_point:
         out.append(f"candidate {cand.l}: stored foot is not perp of the members")
     if member_points and not in_convex_hull(space, cand.perp_point, member_points):
         out.append(f"candidate {cand.l}: foot lies outside the member hull")
-    bound = count_bound(problem, cand.l)
+    negative = sum(1 for alpha in problem.roots if space.inner(cand.l, alpha) < 0)
+    below = sum(m for (_, m), h in zip(problem.weights, heights) if h < 1)
+    bound = CountBound(negative, below)
     if bound != cand.bound:
         out.append(f"candidate {cand.l}: stored counts {cand.bound} != {bound}")
     if not bound.holds:
         out.append(f"candidate {cand.l}: counting bound fails "
                    f"({bound.roots_negative} > {bound.weights_below})")
-    at_least = sum(m for v, m in problem.weights if space.inner(cand.l, v) >= 1)
+    at_least = sum(m for (_, m), h in zip(problem.weights, heights) if h >= 1)
     if at_least != cand.weights_at_least:
         out.append(f"candidate {cand.l}: stored level-ge-1 multiplicity "
                    f"{cand.weights_at_least} != {at_least}")

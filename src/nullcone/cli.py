@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .engine import stratify
 from .oracle import check_rank2_law, compare_with_naive
-from .ratgeom import InputError, ResourceError
+from .ratgeom import InputError, InvariantError, ResourceError
 from .report import (
     candidates_text,
     fmt_vec,
@@ -193,6 +193,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

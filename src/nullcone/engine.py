@@ -14,11 +14,19 @@ chain of constraint vectors it is orthogonal to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
-from .candidates import Candidate, ProblemLike, count_bound, enumerate_candidates
+from .candidates import (
+    Candidate,
+    CountBound,
+    ProblemLike,
+    count_bound,
+    enumerate_candidates,
+)
 from .ratgeom import (
     InputError,
+    InvariantError,
     Matrix,
     Vec,
     is_zero_vec,
@@ -26,8 +34,10 @@ from .ratgeom import (
 )
 from .rootdata import (
     GramSpace,
+    IntegerLattice,
     Problem,
     ValidatedProblem,
+    integer_lattice,
     orbit_closure,
     reflection_matrix,
     validate,
@@ -56,6 +66,10 @@ class SubProblem:
     def orbit(self, v: Vec) -> tuple[Vec, ...]:
         return orbit_closure(self.generator_matrices, v, self.orbit_cap)
 
+    @cached_property
+    def lattice(self) -> IntegerLattice:
+        return integer_lattice(self.space, self.roots, self.weights)
+
 
 def root_subproblem(problem: ValidatedProblem) -> SubProblem:
     return SubProblem(
@@ -74,15 +88,19 @@ def restrict(problem: ProblemLike, l: Vec) -> SubProblem:
     space = problem.space
     if is_zero_vec(l):
         raise InputError("cannot restrict along the zero vector")
-    assert all(space.inner(l, c) == 0 for c in problem.constraints), \
-        "restriction vector must be orthogonal to the existing constraints"
-    assert problem.effective_rank >= 1
-    roots = tuple(alpha for alpha in problem.roots if space.inner(l, alpha) == 0)
+    if any(space.inner(l, c) != 0 for c in problem.constraints):
+        raise InvariantError(
+            f"restriction vector {l} is not orthogonal to the existing constraints")
+    if problem.effective_rank < 1:
+        raise InvariantError(f"cannot restrict a problem of effective rank "
+                             f"{problem.effective_rank} along {l}")
+    levels = problem.lattice.levels(l)
+    roots = tuple(problem.roots[j] for j in levels.roots_zero)
     merged: dict[Vec, int] = {}
-    for v, mult in problem.weights:
-        if space.inner(l, v) == 1:
-            w = project_hyperplane(space, l, v)
-            merged[w] = merged.get(w, 0) + mult
+    for i in levels.on:
+        v, mult = problem.weights[i]
+        w = project_hyperplane(space, l, v)
+        merged[w] = merged.get(w, 0) + mult
     generators = tuple(sorted({reflection_matrix(space, alpha) for alpha in roots}))
     return SubProblem(
         space=space,
@@ -153,10 +171,7 @@ def is_stratifying(problem: ProblemLike, l: Vec, cache: Optional[Cache] = None,
 
 def stratum_dimension(problem: ProblemLike, l: Vec) -> int:
     """Roots on the negative side plus total multiplicity at level >= 1."""
-    space = problem.space
-    negative = sum(1 for alpha in problem.roots if space.inner(l, alpha) < 0)
-    at_least = sum(m for v, m in problem.weights if space.inner(l, v) >= 1)
-    return negative + at_least
+    return problem.lattice.levels(l).dimension
 
 
 def openness_check(problem: ProblemLike, l: Vec) -> bool:
@@ -172,15 +187,13 @@ def generic_representative(problem: ValidatedProblem,
     the stratum of l whenever the coefficients are algebraically independent
     over the rationals; reports carry that caveat, it is not checkable here.
     """
-    space = problem.space
-    out: list[tuple[int, str]] = []
-    counter = 0
-    for i, (v, mult) in enumerate(problem.weights):
-        if space.inner(l, v) == 1:
-            for _ in range(mult):
-                counter += 1
-                out.append((i, f"c_{counter}"))
-    return tuple(out)
+    return _symbols(problem, problem.lattice.levels(l).on)
+
+
+def _symbols(problem: ProblemLike,
+             indices: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
+    units = [i for i in indices for _ in range(problem.weights[i][1])]
+    return tuple((i, f"c_{k}") for k, i in enumerate(units, 1))
 
 
 @dataclass(frozen=True)
@@ -213,25 +226,16 @@ class NullconeSummary:
 
 
 def stratum_report(problem: ValidatedProblem, cand: Candidate) -> StratumReport:
-    space = problem.space
-    l = cand.l
-    support = tuple(i for i, (v, _) in enumerate(problem.weights)
-                    if space.inner(l, v) == 1)
-    support_plus = tuple(i for i, (v, _) in enumerate(problem.weights)
-                         if space.inner(l, v) >= 1)
-    levi = tuple(i for i, alpha in enumerate(problem.roots)
-                 if space.inner(l, alpha) == 0)
-    parabolic = tuple(i for i, alpha in enumerate(problem.roots)
-                      if space.inner(l, alpha) >= 0)
+    levels = problem.lattice.levels(cand.l)
     return StratumReport(
-        l=l,
-        dim=stratum_dimension(problem, l),
-        open_in_V=openness_check(problem, l),
-        support_v_l=support,
-        support_v_l_plus=support_plus,
-        levi_root_indices=levi,
-        parabolic_root_indices=parabolic,
-        generic_rep=generic_representative(problem, l),
+        l=cand.l,
+        dim=levels.dimension,
+        open_in_V=CountBound.of(levels).is_equality,
+        support_v_l=levels.on,
+        support_v_l_plus=tuple(sorted(levels.on + levels.above)),
+        levi_root_indices=levels.roots_zero,
+        parabolic_root_indices=tuple(sorted(levels.roots_zero + levels.roots_positive)),
+        generic_rep=_symbols(problem, levels.on),
     )
 
 

@@ -24,6 +24,10 @@ class ResourceError(RuntimeError):
     """A configured resource cap was exceeded."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of the algorithm does not hold."""
+
+
 # ---------------------------------------------------------------------------
 # rationals and vectors
 
@@ -233,15 +237,6 @@ def echelon_extend(rows: EchelonRows, v: Vec) -> Optional[EchelonRows]:
         return None
     inv = 1 / w[piv]
     return rows + [(piv, tuple(a * inv for a in w))]
-
-
-def in_span(rows: EchelonRows, v: Vec) -> bool:
-    w = list(v)
-    for piv, row in rows:
-        c = w[piv]
-        if c:
-            w = [a - c * b for a, b in zip(w, row)]
-    return all(a == 0 for a in w)
 
 
 def affinely_independent_subsets(points: Sequence[Vec],

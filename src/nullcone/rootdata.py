@@ -8,8 +8,11 @@ downstream reports can refer to stable indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .ratgeom import (
@@ -79,6 +82,154 @@ def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, 
                     new.append(y)
         frontier = new
     return tuple(sorted(seen))
+
+
+# ---------------------------------------------------------------------------
+# integer lattice kernel
+
+IntVec = tuple[int, ...]
+
+
+def _common_denominator(values: Iterable[Q]) -> int:
+    return math.lcm(1, *(q.denominator for q in values))
+
+
+def _scaled(v: Vec, den: int) -> IntVec:
+    """The integer vector den * v, for a common denominator den of v."""
+    return tuple(q.numerator * (den // q.denominator) for q in v)
+
+
+@dataclass(frozen=True)
+class Levels:
+    """Where the weights and roots of a problem lie against a direction l.
+
+    Weight indices below, on and above the hyperplane {<l, .> = 1}, root
+    indices on the negative, zero and positive side of {<l, .> = 0}, and the
+    total multiplicity of the weights below level 1 and at level >= 1.
+    """
+
+    below: tuple[int, ...]
+    on: tuple[int, ...]
+    above: tuple[int, ...]
+    roots_negative: tuple[int, ...]
+    roots_zero: tuple[int, ...]
+    roots_positive: tuple[int, ...]
+    mult_below: int
+    mult_at_least: int
+
+    @property
+    def dimension(self) -> int:
+        """Negative roots plus the multiplicity at level >= 1."""
+        return len(self.roots_negative) + self.mult_at_least
+
+
+@dataclass(frozen=True)
+class IntegerLattice:
+    """A problem's data with its denominators cleared once.
+
+    The form is gram / gram_den and weight i is weights[i] / weight_den;
+    roots[j] is a positive multiple of root j.  Every entry is a Python int,
+    so level tests and feet need no Fraction arithmetic.
+    """
+
+    gram: tuple[IntVec, ...]
+    gram_den: int
+    weights: tuple[IntVec, ...]
+    weight_den: int
+    mults: tuple[int, ...]
+    roots: tuple[IntVec, ...]
+
+    def levels(self, l: Vec) -> Levels:
+        """Sort the weights and roots against l in one integer pass.
+
+        With l = nums / den and the covector c = gram nums,
+        <l, weight i> = (c . weights[i]) / (den gram_den weight_den).
+        """
+        if len(l) != len(self.gram):
+            raise InputError(f"vector {l} has length {len(l)}, expected {len(self.gram)}")
+        den = _common_denominator(l)
+        nums = _scaled(l, den)
+        c = tuple(sum(map(mul, row, nums)) for row in self.gram)
+        one = den * self.gram_den * self.weight_den
+        below: list[int] = []
+        on: list[int] = []
+        above: list[int] = []
+        mult_below = mult_at_least = 0
+        for i, w in enumerate(self.weights):
+            level = sum(map(mul, c, w))
+            if level < one:
+                below.append(i)
+                mult_below += self.mults[i]
+            else:
+                (on if level == one else above).append(i)
+                mult_at_least += self.mults[i]
+        sides: tuple[list[int], list[int], list[int]] = ([], [], [])
+        for j, alpha in enumerate(self.roots):
+            level = sum(map(mul, c, alpha))
+            sides[(level > 0) - (level < 0) + 1].append(j)
+        return Levels(tuple(below), tuple(on), tuple(above),
+                      tuple(sides[0]), tuple(sides[1]), tuple(sides[2]),
+                      mult_below, mult_at_least)
+
+    def foot(self, subset: Sequence[int]) -> Vec:
+        """`ratgeom.perp` of the weights indexed by `subset`, fraction-free.
+
+        The normal equations <d_i, d_j> x_j = -<d_i, w_0> of the differences
+        d_i = w_i - w_0 are solved by Bareiss elimination (Bareiss 1968) on
+        integers.  Their matrix is positive semidefinite, so a zero pivot
+        means d_i lies in the span of the earlier differences, and then its
+        whole row is zero: skipping it drops the differences `perp` drops.
+        Only the foot itself is turned into Fractions.
+        """
+        if not subset:
+            raise InputError("perp of an empty point set")
+        base = self.weights[subset[0]]
+        diffs = [tuple(map(sub, self.weights[i], base)) for i in subset[1:]]
+        m = len(diffs)
+        rows = []
+        for d in diffs:
+            g = tuple(sum(map(mul, row, d)) for row in self.gram)
+            rows.append([sum(map(mul, g, e)) for e in diffs] + [-sum(map(mul, g, base))])
+        pivots: list[int] = []
+        det = 1
+        for k in range(m):
+            pivot_row = rows[k]
+            p = pivot_row[k]
+            if not p:
+                continue
+            for row in rows[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, m + 1):
+                    row[j] = (p * row[j] - f * pivot_row[j]) // det
+            det = p
+            pivots.append(k)
+        # det is now the minor of the kept differences, and det * x is integral
+        y = [0] * m
+        for k in reversed(pivots):
+            row = rows[k]
+            y[k] = (det * row[m] - sum(map(mul, row[k + 1:m], y[k + 1:]))) // row[k]
+        point = [det * b for b in base]
+        for c, d in zip(y, diffs):
+            if c:
+                point = [a + c * x for a, x in zip(point, d)]
+        den = det * self.weight_den
+        return tuple(Q(a, den) for a in point)
+
+
+def integer_lattice(space: GramSpace, roots: Sequence[Vec],
+                    weights: Sequence[tuple[Vec, int]]) -> IntegerLattice:
+    """Clear the denominators of a problem's form, weights and roots."""
+    gram_den = _common_denominator(q for row in space.gram for q in row)
+    weight_den = _common_denominator(q for v, _ in weights for q in v)
+    root_den = _common_denominator(q for alpha in roots for q in alpha)
+    return IntegerLattice(
+        gram=tuple(_scaled(row, gram_den) for row in space.gram),
+        gram_den=gram_den,
+        weights=tuple(_scaled(v, weight_den) for v, _ in weights),
+        weight_den=weight_den,
+        mults=tuple(m for _, m in weights),
+        roots=tuple(_scaled(alpha, root_den) for alpha in roots),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +306,10 @@ class ValidatedProblem:
 
     def orbit(self, v: Vec) -> tuple[Vec, ...]:
         return orbit_closure(self.generator_matrices, v, self.orbit_cap)
+
+    @cached_property
+    def lattice(self) -> IntegerLattice:
+        return integer_lattice(self.space, self.roots, self.weights)
 
 
 class ValidationError(Exception):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from fractions import Fraction as Q
 
@@ -14,7 +20,7 @@ from nullcone.engine import (
     stratum_dimension,
 )
 from nullcone.oracle import compare_with_naive
-from nullcone.ratgeom import InputError, parse_vector
+from nullcone.ratgeom import InputError, InvariantError, parse_vector
 from nullcone.rootdata import catalog, parse_catalog_spec, validate
 
 
@@ -62,6 +68,33 @@ class TestRestrict:
         problem = validate(catalog("adjoint", ["a1"]))
         with pytest.raises(InputError):
             restrict(root_subproblem(problem), parse_vector([0]))
+
+    def test_non_orthogonal_vector_raises(self):
+        sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
+        with pytest.raises(InvariantError, match="not orthogonal"):
+            restrict(sub, parse_vector([1, 0]))
+
+    def test_invariants_hold_under_optimize(self):
+        # `python -O` strips asserts; the restriction checks must survive it
+        script = textwrap.dedent("""
+            from nullcone.engine import restrict, root_subproblem
+            from nullcone.ratgeom import InvariantError, parse_vector
+            from nullcone.rootdata import parse_catalog_spec, validate
+            assert False, "asserts are live"
+            problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
+            sub = restrict(root_subproblem(problem), parse_vector(["1/3", "1/3"]))
+            try:
+                restrict(sub, parse_vector([1, 0]))
+            except InvariantError:
+                print("raised")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
     def test_orthogonality_to_constraints(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])

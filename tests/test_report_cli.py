@@ -191,6 +191,17 @@ class TestCli:
                             lambda *a, **k: fake)
         assert main(["verify", "adjoint:a1"]) == 3
 
+    def test_invariant_error_exit_code(self, capsys, monkeypatch):
+        import nullcone.cli as cli_module
+        from nullcone.ratgeom import InvariantError
+
+        def broken(*args, **kwargs):
+            raise InvariantError("node has 2 plus children")
+
+        monkeypatch.setattr(cli_module, "stratify", broken)
+        assert main(["stratify", "adjoint:a1"]) == 4
+        assert "error: node has 2 plus children" in capsys.readouterr().err
+
     def test_file_input_matches_spec_input(self, tmp_path, capsys):
         problem = catalog("adjoint", ["b2"])
         path = tmp_path / "b2.json"
