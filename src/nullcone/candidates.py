@@ -15,10 +15,9 @@ this on every tested instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 from .ratgeom import (
-    GramSpace,
     InvariantError,
     ResourceError,
     Vec,
@@ -28,22 +27,7 @@ from .ratgeom import (
     perp,
     vscale,
 )
-from .rootdata import IntegerLattice, Levels
-
-
-class ProblemLike(Protocol):
-    """What enumeration needs: a validated problem or a nested restriction."""
-
-    space: GramSpace
-    roots: tuple[Vec, ...]
-    weights: tuple[tuple[Vec, int], ...]
-    effective_rank: int
-    orbit_cap: int
-
-    @property
-    def lattice(self) -> IntegerLattice: ...
-
-    def orbit(self, v: Vec) -> tuple[Vec, ...]: ...
+from .rootdata import Levels, ValidatedProblem
 
 
 @dataclass(frozen=True)
@@ -67,11 +51,11 @@ class CountBound:
         return CountBound(len(levels.roots_negative), levels.mult_below)
 
 
-def count_bound(problem: ProblemLike, l: Vec) -> CountBound:
+def count_bound(problem: ValidatedProblem, l: Vec) -> CountBound:
     return CountBound.of(problem.lattice.levels(l))
 
 
-def saturate(problem: ProblemLike, l: Vec) -> tuple[int, ...]:
+def saturate(problem: ValidatedProblem, l: Vec) -> tuple[int, ...]:
     """Indices of all weights exactly on the hyperplane {inner(l, .) = 1}."""
     return problem.lattice.levels(l).on
 
@@ -93,7 +77,7 @@ class Candidate:
         return self.bound.weights_below
 
 
-def candidate_from_subset(problem: ProblemLike, subset: Sequence[int],
+def candidate_from_subset(problem: ValidatedProblem, subset: Sequence[int],
                           tried: Optional[dict[Vec, Optional[Candidate]]] = None
                           ) -> Optional[Candidate]:
     """Build the candidate generated by a weight subset, or None.
@@ -117,7 +101,7 @@ def candidate_from_subset(problem: ProblemLike, subset: Sequence[int],
     return result
 
 
-def _candidate_at(problem: ProblemLike, l: Vec, foot: Vec) -> Optional[Candidate]:
+def _candidate_at(problem: ValidatedProblem, l: Vec, foot: Vec) -> Optional[Candidate]:
     levels = problem.lattice.levels(l)
     bound = CountBound.of(levels)
     if not bound.holds:
@@ -131,7 +115,7 @@ def _candidate_at(problem: ProblemLike, l: Vec, foot: Vec) -> Optional[Candidate
     return Candidate(l, members, foot, bound, levels.mult_at_least)
 
 
-def enumerate_candidates(problem: ProblemLike,
+def enumerate_candidates(problem: ValidatedProblem,
                          dedup: bool = True) -> tuple[Candidate, ...]:
     """All candidates, sorted by l.
 
@@ -169,7 +153,7 @@ def enumerate_candidates(problem: ProblemLike,
     return tuple(kept[l] for l in sorted(kept))
 
 
-def verify_candidate(problem: ProblemLike, cand: Candidate) -> list[str]:
+def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:
     """Independent recheck of every defining property of a candidate.
 
     Every level test here is a `GramSpace.inner` call, so the integer

@@ -23,6 +23,7 @@ from .engine import stratify
 from .oracle import check_rank2_law, compare_with_naive
 from .ratgeom import InputError, InvariantError, ResourceError
 from .report import (
+    _reject_float,
     candidates_text,
     fmt_vec,
     to_json_text,
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--svg", dest="svg_path", metavar="PATH",
                         help="write a picture (rank <= 2 only)")
     parser.add_argument("--fast", action="store_true",
-                        help="prune recursion branches that are provably empty")
+                        help="accepted and ignored: the rootless prune is always on")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check stratify output against the naive oracle")
     parser.add_argument("--no-dedup", action="store_true",
@@ -68,11 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--orbit-cap", type=int, metavar="N",
                         help="abort Weyl orbit computations beyond N elements")
     return parser
-
-
-def _reject_float(token: str):
-    raise InputError(f"floating point literal {token!r} not accepted; "
-                     "write rationals as \"p/q\" strings")
 
 
 def load_problem(text: str, orbit_cap: Optional[int] = None) -> Problem:
@@ -111,8 +107,7 @@ def _catalog_list() -> int:
     return 0
 
 
-def _run_verification(problem: Problem, dedup: bool,
-                      fast: bool) -> tuple[list[str], bool]:
+def _run_verification(problem: Problem, dedup: bool) -> tuple[list[str], bool]:
     report = compare_with_naive(problem, dedup=dedup)
     lines = []
     ok = report.candidate_set_match
@@ -123,7 +118,7 @@ def _run_verification(problem: Problem, dedup: bool,
             source = "subset engine" if side == "engine" else "naive scan"
             lines.append(f"verify: l={fmt_vec(l)} found only by the {source}")
     if validate(problem).rank == 2:
-        law = check_rank2_law(problem, fast=fast)
+        law = check_rank2_law(problem)
         if law:
             lines.extend(f"verify: {line}" for line in law)
             ok = False
@@ -150,12 +145,12 @@ def _run(args: argparse.Namespace) -> int:
     dedup = not args.no_dedup
 
     if args.command == "verify":
-        lines, ok = _run_verification(problem, dedup, args.fast)
+        lines, ok = _run_verification(problem, dedup)
         for line in lines:
             print(line)
         return 0 if ok else 3
 
-    summary = stratify(problem, fast=args.fast, dedup=dedup)
+    summary = stratify(problem, dedup=dedup)
 
     if args.command == "candidates":
         sys.stdout.write(candidates_text(summary))
@@ -171,7 +166,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.svg_path:
         Path(args.svg_path).write_text(render_svg(summary))
     if args.verify:
-        lines, ok = _run_verification(problem, dedup, args.fast)
+        lines, ok = _run_verification(problem, dedup)
         for line in lines:
             print(line)
         if not ok:

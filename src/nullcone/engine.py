@@ -13,77 +13,34 @@ chain of constraint vectors it is orthogonal to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .candidates import (
     Candidate,
     CountBound,
-    ProblemLike,
     count_bound,
     enumerate_candidates,
 )
 from .ratgeom import (
     InputError,
     InvariantError,
-    Matrix,
     Vec,
     is_zero_vec,
     project_hyperplane,
 )
 from .rootdata import (
-    GramSpace,
-    IntegerLattice,
     Problem,
     ValidatedProblem,
-    integer_lattice,
-    orbit_closure,
-    reflection_matrix,
+    orbit_closure,  # noqa: F401 (bench/tracer.py wraps it under this name)
+    reflection_generators,
     validate,
 )
 
 Cache = dict[tuple[tuple[Vec, ...], tuple[tuple[Vec, int], ...]], tuple[Vec, ...]]
 
 
-@dataclass(frozen=True)
-class SubProblem:
-    """A nested restriction, in ambient coordinates.
-
-    All roots and weights are orthogonal (under the form) to every vector in
-    `constraints`; the effective rank is the ambient rank minus the number of
-    constraints.
-    """
-
-    space: GramSpace
-    roots: tuple[Vec, ...]
-    weights: tuple[tuple[Vec, int], ...]
-    constraints: tuple[Vec, ...]
-    effective_rank: int
-    generator_matrices: tuple[Matrix, ...]
-    orbit_cap: int
-
-    def orbit(self, v: Vec) -> tuple[Vec, ...]:
-        return orbit_closure(self.generator_matrices, v, self.orbit_cap)
-
-    @cached_property
-    def lattice(self) -> IntegerLattice:
-        return integer_lattice(self.space, self.roots, self.weights)
-
-
-def root_subproblem(problem: ValidatedProblem) -> SubProblem:
-    return SubProblem(
-        space=problem.space,
-        roots=problem.roots,
-        weights=problem.weights,
-        constraints=(),
-        effective_rank=problem.rank,
-        generator_matrices=problem.generator_matrices,
-        orbit_cap=problem.orbit_cap,
-    )
-
-
-def restrict(problem: ProblemLike, l: Vec) -> SubProblem:
+def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
     """Restriction along a candidate l of the given problem."""
     space = problem.space
     if is_zero_vec(l):
@@ -101,39 +58,34 @@ def restrict(problem: ProblemLike, l: Vec) -> SubProblem:
         v, mult = problem.weights[i]
         w = project_hyperplane(space, l, v)
         merged[w] = merged.get(w, 0) + mult
-    generators = tuple(sorted({reflection_matrix(space, alpha) for alpha in roots}))
-    return SubProblem(
-        space=space,
+    return replace(
+        problem,
         roots=roots,
         weights=tuple(sorted(merged.items())),
-        constraints=tuple(problem.constraints) + (l,),
-        effective_rank=problem.effective_rank - 1,
-        generator_matrices=generators,
-        orbit_cap=problem.orbit_cap,
+        generator_matrices=reflection_generators(space, roots),
+        constraints=problem.constraints + (l,),
     )
 
 
-def equality_set(sub: SubProblem, cache: Optional[Cache] = None,
-                 fast: bool = False) -> tuple[Vec, ...]:
+def equality_set(sub: ValidatedProblem,
+                 cache: Optional[Cache] = None) -> tuple[Vec, ...]:
     """Candidates of `sub` whose counting bound is an equality.
+
+    A restriction without roots has none, so it is not enumerated.  There
+    the origin lies in the convex hull of the weights (it is the projected
+    foot of the parent candidate), so every direction has a weight strictly
+    below level 1 and the equality count 0 is unreachable.
 
     The memo key omits the constraint chain: enumeration only reads roots,
     weights and the subset-size limit, and the limit never binds because a
     saturated weight set spans at most its own affine hull.
-
-    The fast path applies only to restrictions.  There the origin lies in
-    the convex hull of the weights (it is the projected foot of the parent
-    candidate), so once no roots remain every direction has a weight strictly
-    below level 1 and the equality count 0 is unreachable.
     """
+    if sub.constraints and not sub.roots:
+        return ()
     key = (sub.roots, sub.weights)
     if cache is not None and key in cache:
         return cache[key]
-    if fast and sub.constraints and not sub.roots:
-        result: tuple[Vec, ...] = ()
-    else:
-        result = tuple(c.l for c in enumerate_candidates(sub)
-                       if c.bound.is_equality)
+    result = tuple(c.l for c in enumerate_candidates(sub) if c.bound.is_equality)
     if cache is not None:
         cache[key] = result
     return result
@@ -153,28 +105,29 @@ class SignedTree:
         return 1 + max((child.depth() for child in self.children), default=0)
 
 
-def build_tree(problem: ProblemLike, l: Vec, cache: Optional[Cache] = None,
-               fast: bool = False) -> SignedTree:
+def build_tree(problem: ValidatedProblem, l: Vec,
+               cache: Optional[Cache] = None) -> SignedTree:
+    """The signed tree of a candidate l of `problem`."""
     sub = restrict(problem, l)
-    children = tuple(build_tree(sub, a, cache, fast)
-                     for a in equality_set(sub, cache, fast))
+    children = tuple(build_tree(sub, a, cache) for a in equality_set(sub, cache))
     plus_children = sum(1 for child in children if child.plus)
-    assert plus_children <= 1, \
-        f"node {l} has {plus_children} plus children; at most one is possible"
+    if plus_children > 1:
+        raise InvariantError(
+            f"node {l} has {plus_children} plus children; at most one is possible")
     return SignedTree(l, children, plus_children == 0)
 
 
-def is_stratifying(problem: ProblemLike, l: Vec, cache: Optional[Cache] = None,
-                   fast: bool = False) -> bool:
-    return build_tree(problem, l, cache, fast).plus
+def is_stratifying(problem: ValidatedProblem, l: Vec,
+                   cache: Optional[Cache] = None) -> bool:
+    return build_tree(problem, l, cache).plus
 
 
-def stratum_dimension(problem: ProblemLike, l: Vec) -> int:
+def stratum_dimension(problem: ValidatedProblem, l: Vec) -> int:
     """Roots on the negative side plus total multiplicity at level >= 1."""
     return problem.lattice.levels(l).dimension
 
 
-def openness_check(problem: ProblemLike, l: Vec) -> bool:
+def openness_check(problem: ValidatedProblem, l: Vec) -> bool:
     """A stratum is open in V exactly when the counting bound is an equality."""
     return count_bound(problem, l).is_equality
 
@@ -190,7 +143,7 @@ def generic_representative(problem: ValidatedProblem,
     return _symbols(problem, problem.lattice.levels(l).on)
 
 
-def _symbols(problem: ProblemLike,
+def _symbols(problem: ValidatedProblem,
              indices: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
     units = [i for i in indices for _ in range(problem.weights[i][1])]
     return tuple((i, f"c_{k}") for k, i in enumerate(units, 1))
@@ -239,7 +192,7 @@ def stratum_report(problem: ValidatedProblem, cand: Candidate) -> StratumReport:
     )
 
 
-def stratify(problem: Union[Problem, ValidatedProblem], fast: bool = False,
+def stratify(problem: Union[Problem, ValidatedProblem],
              dedup: bool = True) -> NullconeSummary:
     """Full run: candidates, signed trees, strata, null-cone summary."""
     if isinstance(problem, Problem):
@@ -247,16 +200,17 @@ def stratify(problem: Union[Problem, ValidatedProblem], fast: bool = False,
     cache: Cache = {}
     decisions = []
     for cand in enumerate_candidates(problem, dedup=dedup):
-        tree = build_tree(problem, cand.l, cache, fast)
-        assert tree.depth() <= problem.rank, \
-            f"tree of {cand.l} has depth {tree.depth()} > rank {problem.rank}"
+        tree = build_tree(problem, cand.l, cache)
+        if tree.depth() > problem.rank:
+            raise InvariantError(
+                f"tree of {cand.l} has depth {tree.depth()} > rank {problem.rank}")
         decisions.append(CandidateDecision(cand, tree, tree.plus))
     reports = [stratum_report(problem, d.candidate)
                for d in decisions if d.stratifying]
     strata = tuple(sorted(reports, key=lambda s: (-s.dim, s.l)))
-    if dedup:
-        open_count = sum(1 for s in strata if s.open_in_V)
-        assert open_count <= 1, f"{open_count} open strata; at most one is possible"
+    open_count = sum(1 for s in strata if s.open_in_V)
+    if dedup and open_count > 1:
+        raise InvariantError(f"{open_count} open strata; at most one is possible")
     dim_nullcone = max((s.dim for s in strata), default=0)
     max_indices = tuple(i for i, s in enumerate(strata) if s.dim == dim_nullcone) \
         if strata else ()

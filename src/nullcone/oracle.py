@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .candidates import enumerate_candidates
 from .engine import stratify
@@ -30,13 +29,14 @@ from .ratgeom import (
     zero_vec,
 )
 from .rootdata import (
+    _ADJOINT_TABLES,
     Problem,
     RootSystem,
     ValidatedProblem,
     WeightSystem,
     matvec,
     orbit_closure,
-    reflection_matrix,
+    reflection_generators,
     validate,
 )
 
@@ -120,10 +120,9 @@ def rank2_non_stratifying(problem: ValidatedProblem, l: Vec) -> bool:
     return len(carried) == 2 and all(m == 1 for m in carried)
 
 
-def check_rank2_law(problem: Union[Problem, ValidatedProblem],
-                    fast: bool = False) -> list[str]:
+def check_rank2_law(problem: Union[Problem, ValidatedProblem]) -> list[str]:
     """Engine decisions versus the rank-2 law; returns disagreement lines."""
-    summary = stratify(problem, fast=fast)
+    summary = stratify(problem)
     validated = summary.problem
     out = []
     for decision in summary.decisions:
@@ -138,19 +137,12 @@ def check_rank2_law(problem: Union[Problem, ValidatedProblem],
 Transform = tuple[str, object]
 
 
-def _generator_list(problem: Problem) -> list:
-    if problem.weyl_generators is not None:
-        return list(problem.weyl_generators)
-    return sorted({reflection_matrix(problem.space, alpha)
-                   for alpha in problem.roots.roots})
-
-
 def standard_transforms(problem: Problem) -> list[Transform]:
     """Gram rescalings by 2, 1/3 and 7 plus every Weyl generator."""
     transforms: list[Transform] = [("gram-scale", Q(2)), ("gram-scale", Q(1, 3)),
                                    ("gram-scale", Q(7))]
     transforms += [("weyl-generator", i)
-                   for i in range(len(_generator_list(problem)))]
+                   for i in range(len(problem.generator_matrices))]
     return transforms
 
 
@@ -165,7 +157,7 @@ def apply_transform(problem: Problem, transform: Transform) -> Problem:
         return Problem(space, problem.roots, problem.weights,
                        problem.weyl_generators, problem.orbit_cap)
     if kind == "weyl-generator":
-        generators = _generator_list(problem)
+        generators = problem.generator_matrices
         index = int(arg)
         if not 0 <= index < len(generators):
             raise InputError(
@@ -207,11 +199,9 @@ def invariance_harness(problem: Problem,
 # ---------------------------------------------------------------------------
 # seeded random instances
 
-_SIMPLE_BLOCKS: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]] = {
-    "a1": (((2,),), ((1,),)),
-    "a2": (((2, -1), (-1, 2)), ((1, 0), (0, 1), (1, 1))),
-    "b2": (((2, -1), (-1, 1)), ((1, 0), (0, 1), (1, 1), (1, 2))),
-    "g2": (((2, -3), (-3, 6)), ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))),
+# the catalog's adjoint types (gram rows, positive roots) plus a3
+_SIMPLE_BLOCKS = {
+    **_ADJOINT_TABLES,
     "a3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1))),
 }
@@ -294,7 +284,7 @@ def random_problem(rng: random.Random, max_distinct: int = 12,
         space = GramSpace(space.rank,
                           tuple(tuple(scale * x for x in row) for row in space.gram))
     roots = tuple(positive) + tuple(vscale(Q(-1), r) for r in positive)
-    reflections = tuple(sorted({reflection_matrix(space, alpha) for alpha in positive}))
+    reflections = reflection_generators(space, positive)
     pairs: list[tuple[Vec, int]] = []
     covered: set[Vec] = set()
     for _ in range(rng.randint(1, 3)):

@@ -193,10 +193,6 @@ def make_space(gram_rows: Sequence[Sequence[object]]) -> GramSpace:
     return GramSpace(len(rows), rows)
 
 
-def inner(space: GramSpace, u: Vec, v: Vec) -> Q:
-    return space.inner(u, v)
-
-
 # ---------------------------------------------------------------------------
 # linear solving and independence
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from .engine import NullconeSummary, SignedTree, StratumReport
 from .ratgeom import InputError, Vec, parse_vector, vector_to_json
@@ -45,37 +45,41 @@ def _index_list(indices) -> list[int]:
     return [int(i) for i in indices]
 
 
-def to_json_dict(summary: NullconeSummary) -> dict[str, Any]:
-    candidates = []
-    for decision in summary.decisions:
-        candidates.append({
-            "l": vector_to_json(decision.candidate.l),
-            "M": _index_list(decision.candidate.member_indices),
-            "stratifying": decision.stratifying,
-            "tree": tree_to_json(decision.tree),
-        })
-    strata = []
-    for stratum in summary.strata:
-        strata.append({
-            "l": vector_to_json(stratum.l),
-            "dim": stratum.dim,
-            "open_in_V": stratum.open_in_V,
-            "support_V_l": _index_list(stratum.support_v_l),
-            "support_V_l_plus": _index_list(stratum.support_v_l_plus),
-            "levi_roots": _index_list(stratum.levi_root_indices),
-            "parabolic_roots": _index_list(stratum.parabolic_root_indices),
-            "generic_rep": [{"weight_index": i, "symbol": s}
-                            for i, s in stratum.generic_rep],
-        })
+def _schema_dict(candidates, strata: Iterable[StratumReport], dim_nullcone: int,
+                 equals_V: bool, max_components: tuple[int, ...]) -> dict[str, Any]:
+    """The JSON layout; `candidates` yields (l, member indices, stratifying, tree)."""
     return {
-        "candidates": candidates,
-        "strata": strata,
+        "candidates": [{
+            "l": vector_to_json(l),
+            "M": _index_list(members),
+            "stratifying": stratifying,
+            "tree": tree_to_json(tree),
+        } for l, members, stratifying, tree in candidates],
+        "strata": [{
+            "l": vector_to_json(s.l),
+            "dim": s.dim,
+            "open_in_V": s.open_in_V,
+            "support_V_l": _index_list(s.support_v_l),
+            "support_V_l_plus": _index_list(s.support_v_l_plus),
+            "levi_roots": _index_list(s.levi_root_indices),
+            "parabolic_roots": _index_list(s.parabolic_root_indices),
+            "generic_rep": [{"weight_index": i, "symbol": sym}
+                            for i, sym in s.generic_rep],
+        } for s in strata],
         "nullcone": {
-            "dim": summary.dim_nullcone,
-            "equals_V": summary.equals_V,
-            "max_components": _index_list(summary.max_component_indices),
+            "dim": dim_nullcone,
+            "equals_V": equals_V,
+            "max_components": _index_list(max_components),
         },
     }
+
+
+def to_json_dict(summary: NullconeSummary) -> dict[str, Any]:
+    return _schema_dict(
+        ((d.candidate.l, d.candidate.member_indices, d.stratifying, d.tree)
+         for d in summary.decisions),
+        summary.strata, summary.dim_nullcone, summary.equals_V,
+        summary.max_component_indices)
 
 
 def to_json_text(summary: NullconeSummary) -> str:
@@ -94,50 +98,17 @@ class ParsedCandidate:
 
 
 @dataclass(frozen=True)
-class ParsedStratum:
-    l: Vec
-    dim: int
-    open_in_V: bool
-    support_v_l: tuple[int, ...]
-    support_v_l_plus: tuple[int, ...]
-    levi_root_indices: tuple[int, ...]
-    parabolic_root_indices: tuple[int, ...]
-    generic_rep: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
 class ParsedSummary:
     candidates: tuple[ParsedCandidate, ...]
-    strata: tuple[ParsedStratum, ...]
+    strata: tuple[StratumReport, ...]
     dim_nullcone: int
     equals_V: bool
     max_component_indices: tuple[int, ...]
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "candidates": [{
-                "l": vector_to_json(c.l),
-                "M": _index_list(c.member_indices),
-                "stratifying": c.stratifying,
-                "tree": tree_to_json(c.tree),
-            } for c in self.candidates],
-            "strata": [{
-                "l": vector_to_json(s.l),
-                "dim": s.dim,
-                "open_in_V": s.open_in_V,
-                "support_V_l": _index_list(s.support_v_l),
-                "support_V_l_plus": _index_list(s.support_v_l_plus),
-                "levi_roots": _index_list(s.levi_root_indices),
-                "parabolic_roots": _index_list(s.parabolic_root_indices),
-                "generic_rep": [{"weight_index": i, "symbol": sym}
-                                for i, sym in s.generic_rep],
-            } for s in self.strata],
-            "nullcone": {
-                "dim": self.dim_nullcone,
-                "equals_V": self.equals_V,
-                "max_components": _index_list(self.max_component_indices),
-            },
-        }
+        return _schema_dict(
+            ((c.l, c.member_indices, c.stratifying, c.tree) for c in self.candidates),
+            self.strata, self.dim_nullcone, self.equals_V, self.max_component_indices)
 
 
 def _need(obj: Any, key: str, where: str) -> Any:
@@ -193,7 +164,7 @@ def from_json_dict(obj: Any) -> ParsedSummary:
             if not isinstance(symbol, str):
                 raise InputError(f"symbol must be a string, got {symbol!r}")
             rep.append((index, symbol))
-        strata.append(ParsedStratum(
+        strata.append(StratumReport(
             parse_vector(_need(s, "l", "stratum")),
             _parse_int(_need(s, "dim", "stratum"), "dim"),
             _parse_bool(_need(s, "open_in_V", "stratum"), "open_in_V"),
@@ -240,7 +211,9 @@ def tree_text(tree: SignedTree, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _problem_header(summary: NullconeSummary) -> list[str]:
+def _candidate_lines(summary: NullconeSummary, counts: bool) -> list[str]:
+    """The problem, then its candidates; with `counts`, each candidate's
+    member set and counting-bound counts too."""
     problem = summary.problem
     lines = [
         f"problem: rank {problem.rank}, {len(problem.roots)} roots, "
@@ -254,22 +227,20 @@ def _problem_header(summary: NullconeSummary) -> list[str]:
         lines.append("roots:")
         for i, alpha in enumerate(problem.roots):
             lines.append(f"  [{i}] {fmt_vec(alpha)}")
-    return lines
-
-
-def candidates_text(summary: NullconeSummary) -> str:
-    lines = _problem_header(summary)
     lines.append("candidates:")
     if not summary.decisions:
         lines.append("  (none)")
     for i, decision in enumerate(summary.decisions):
         cand = decision.candidate
+        detail = (f"M={list(cand.member_indices)}  roots<0: {cand.roots_negative}  "
+                  f"weights<1: {cand.weights_below}  ") if counts else ""
         verdict = "stratifying" if decision.stratifying else "excluded"
-        lines.append(
-            f"  [{i}] l={fmt_vec(cand.l)}  M={list(cand.member_indices)}  "
-            f"roots<0: {cand.roots_negative}  weights<1: {cand.weights_below}  "
-            f"{verdict}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  [{i}] l={fmt_vec(cand.l)}  {detail}{verdict}")
+    return lines
+
+
+def candidates_text(summary: NullconeSummary) -> str:
+    return "\n".join(_candidate_lines(summary, counts=True)) + "\n"
 
 
 def _generic_rep_text(stratum: StratumReport) -> str:
@@ -279,14 +250,7 @@ def _generic_rep_text(stratum: StratumReport) -> str:
 
 
 def to_text(summary: NullconeSummary) -> str:
-    lines = _problem_header(summary)
-    lines.append("candidates:")
-    if not summary.decisions:
-        lines.append("  (none)")
-    for i, decision in enumerate(summary.decisions):
-        cand = decision.candidate
-        verdict = "stratifying" if decision.stratifying else "excluded"
-        lines.append(f"  [{i}] l={fmt_vec(cand.l)}  {verdict}")
+    lines = _candidate_lines(summary, counts=False)
     lines.append("strata (decreasing dimension):")
     if not summary.strata:
         lines.append("  (none)")

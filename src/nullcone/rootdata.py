@@ -9,8 +9,7 @@ downstream reports can refer to stable indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
@@ -27,7 +26,6 @@ from .ratgeom import (
     is_zero_vec,
     parse_rational,
     parse_vector,
-    rational_to_json,
     vector_to_json,
     vscale,
     vsub,
@@ -277,16 +275,29 @@ class Problem:
     weyl_generators: Optional[tuple[Matrix, ...]] = None  # None: reflections in roots
     orbit_cap: int = DEFAULT_ORBIT_CAP
 
+    @cached_property
+    def generator_matrices(self) -> tuple[Matrix, ...]:
+        """The explicit Weyl generators, or else the reflections in the roots."""
+        if self.weyl_generators is not None:
+            return tuple(self.weyl_generators)
+        return reflection_generators(self.space, self.roots.roots)
+
 
 @dataclass(frozen=True)
 class ValidatedProblem:
-    """A checked instance with canonical (sorted) root and weight orderings."""
+    """A checked instance with canonical (sorted) root and weight orderings.
+
+    A restriction (`engine.restrict`) is one too, in ambient coordinates: its
+    roots and weights are orthogonal (under the form) to every vector in
+    `constraints`.  A root problem is the restriction with no constraints.
+    """
 
     space: GramSpace
     roots: tuple[Vec, ...]
     weights: tuple[tuple[Vec, int], ...]
     generator_matrices: tuple[Matrix, ...]
     orbit_cap: int = DEFAULT_ORBIT_CAP
+    constraints: tuple[Vec, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -294,11 +305,7 @@ class ValidatedProblem:
 
     @property
     def effective_rank(self) -> int:
-        return self.space.rank
-
-    @property
-    def constraints(self) -> tuple[Vec, ...]:
-        return ()
+        return self.space.rank - len(self.constraints)
 
     @property
     def total_dim(self) -> int:
@@ -318,10 +325,6 @@ class ValidationError(Exception):
     def __init__(self, violations: Sequence[str]):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
-
-
-def weyl_orbit(problem: ValidatedProblem, v: Vec) -> tuple[Vec, ...]:
-    return problem.orbit(v)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +379,9 @@ def problem_violations(problem: Problem) -> list[str]:
     if out:
         return out
 
-    if problem.weyl_generators is None:
-        gens = _reflection_generators(space, roots)
-        explicit = False
-    else:
-        gens = problem.weyl_generators
-        explicit = True
+    explicit = problem.weyl_generators is not None
     weight_map = dict(entries)
-    for k, g in enumerate(gens):
+    for k, g in enumerate(problem.generator_matrices):
         if explicit:
             if len(g) != rank or any(len(row) != rank for row in g):
                 out.append(f"generator {k} is not a {rank}x{rank} matrix")
@@ -410,7 +408,8 @@ def _is_gram_orthogonal(space: GramSpace, g: Matrix) -> bool:
     return True
 
 
-def _reflection_generators(space: GramSpace, roots: Sequence[Vec]) -> tuple[Matrix, ...]:
+def reflection_generators(space: GramSpace, roots: Iterable[Vec]) -> tuple[Matrix, ...]:
+    """The distinct reflections in `roots`, sorted."""
     # +alpha and -alpha give the same reflection; dedup keeps the set small
     return tuple(sorted({reflection_matrix(space, alpha) for alpha in roots}))
 
@@ -420,15 +419,11 @@ def validate(problem: Problem) -> ValidatedProblem:
     bad = problem_violations(problem)
     if bad:
         raise ValidationError(bad)
-    if problem.weyl_generators is None:
-        gens = _reflection_generators(problem.space, problem.roots.roots)
-    else:
-        gens = tuple(problem.weyl_generators)
     return ValidatedProblem(
         space=problem.space,
         roots=tuple(sorted(problem.roots.roots)),
         weights=tuple(sorted(problem.weights.entries)),
-        generator_matrices=gens,
+        generator_matrices=problem.generator_matrices,
         orbit_cap=problem.orbit_cap,
     )
 

@@ -62,11 +62,10 @@ _summaries = {}
 def summary_of():
     """Cached stratification results for non-timed tests."""
 
-    def get(spec: str, fast: bool = False):
-        key = (spec, fast)
-        if key not in _summaries:
-            _summaries[key] = stratify(parse_catalog_spec(spec), fast=fast)
-        return _summaries[key]
+    def get(spec: str):
+        if spec not in _summaries:
+            _summaries[spec] = stratify(parse_catalog_spec(spec))
+        return _summaries[spec]
 
     return get
 

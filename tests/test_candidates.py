@@ -13,11 +13,11 @@ from nullcone.ratgeom import ResourceError, make_space, parse_vector
 from nullcone.rootdata import (
     Problem,
     RootSystem,
+    ValidatedProblem,
     WeightSystem,
     catalog,
     parse_catalog_spec,
     validate,
-    weyl_orbit,
 )
 
 
@@ -84,18 +84,14 @@ class TestCandidateFromSubset:
         assert candidate_from_subset(problem, (0, 1)) is None
 
     def test_count_bound_rejected(self):
-        # reflection symmetry makes the bound hold on any validated problem,
+        # reflection symmetry makes the bound hold on any problem `validate` accepts,
         # so the rejection branch only ever fires inside restrictions; build
         # one of those by hand
-        from nullcone.engine import SubProblem
-        sub = SubProblem(
+        sub = ValidatedProblem(
             space=make_space([[1]]),
             roots=(parse_vector([-2]), parse_vector([2])),
             weights=((parse_vector([1]), 1),),
-            constraints=(),
-            effective_rank=1,
             generator_matrices=(),
-            orbit_cap=10 ** 6,
         )
         bound = count_bound(sub, parse_vector([1]))
         assert bound.roots_negative == 1 and bound.weights_below == 0
@@ -119,7 +115,7 @@ class TestEnumerate:
         assert len(kept) == 4
         kept_set = {c.l for c in kept}
         for cand in raw:
-            orbit = weyl_orbit(problem, cand.l)
+            orbit = problem.orbit(cand.l)
             assert min(orbit) in kept_set
 
     def test_torus_never_deduped(self):

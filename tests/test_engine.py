@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 from fractions import Fraction as Q
 
+from nullcone import engine
+from nullcone.candidates import enumerate_candidates
 from nullcone.engine import (
     SignedTree,
     build_tree,
@@ -15,18 +18,19 @@ from nullcone.engine import (
     is_stratifying,
     openness_check,
     restrict,
-    root_subproblem,
     stratify,
     stratum_dimension,
 )
-from nullcone.oracle import compare_with_naive
+from nullcone.oracle import compare_with_naive, random_problem
 from nullcone.ratgeom import InputError, InvariantError, parse_vector
 from nullcone.rootdata import catalog, parse_catalog_spec, validate
+
+from conftest import CATALOG_SPECS
 
 
 def _sub(spec, l):
     problem = validate(parse_catalog_spec(spec))
-    return restrict(root_subproblem(problem), parse_vector(l))
+    return restrict(problem, parse_vector(l))
 
 
 class TestRestrict:
@@ -54,10 +58,9 @@ class TestRestrict:
     def test_projection_is_translation_on_slice(self):
         # on the level-1 slice the projection subtracts the foot l/|l|^2
         problem = validate(parse_catalog_spec("g2-adjoint"))
-        base = root_subproblem(problem)
         l = parse_vector([1, "2/3"])
         foot = tuple(x / problem.space.norm_sq(l) for x in l)
-        sub = restrict(base, l)
+        sub = restrict(problem, l)
         members = [v for v, _ in problem.weights
                    if problem.space.inner(l, v) == 1]
         translated = sorted(tuple(a - b for a, b in zip(v, foot))
@@ -67,7 +70,7 @@ class TestRestrict:
     def test_zero_vector_rejected(self):
         problem = validate(catalog("adjoint", ["a1"]))
         with pytest.raises(InputError):
-            restrict(root_subproblem(problem), parse_vector([0]))
+            restrict(problem, parse_vector([0]))
 
     def test_non_orthogonal_vector_raises(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
@@ -75,18 +78,27 @@ class TestRestrict:
             restrict(sub, parse_vector([1, 0]))
 
     def test_invariants_hold_under_optimize(self):
-        # `python -O` strips asserts; the restriction checks must survive it
+        # `python -O` strips asserts; the restriction and tree checks must
+        # survive it.  Listing each equality candidate twice gives a node two
+        # plus children.
         script = textwrap.dedent("""
-            from nullcone.engine import restrict, root_subproblem
+            from nullcone import engine
             from nullcone.ratgeom import InvariantError, parse_vector
             from nullcone.rootdata import parse_catalog_spec, validate
             assert False, "asserts are live"
             problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-            sub = restrict(root_subproblem(problem), parse_vector(["1/3", "1/3"]))
+            l = parse_vector(["1/3", "1/3"])
+            sub = engine.restrict(problem, l)
             try:
-                restrict(sub, parse_vector([1, 0]))
+                engine.restrict(sub, parse_vector([1, 0]))
             except InvariantError:
                 print("raised")
+            equality_set = engine.equality_set
+            engine.equality_set = lambda sub, cache=None: equality_set(sub, cache) * 2
+            try:
+                engine.build_tree(problem, l)
+            except InvariantError as exc:
+                print("raised:", "plus children" in str(exc))
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ,
@@ -94,7 +106,7 @@ class TestRestrict:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised"
+        assert out.stdout.split("\n") == ["raised", "raised: True", ""]
 
     def test_orthogonality_to_constraints(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
@@ -111,11 +123,15 @@ class TestEqualitySet:
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
         assert equality_set(sub) == (parse_vector([-1, 1]),)
 
-    def test_fast_prunes_rootless_restrictions(self):
+    def test_rootless_restriction_not_enumerated(self, monkeypatch):
         sub = _sub("torus:1,0|0,1|1,1", ["1/2", "1/2"])
         assert sub.roots == ()
-        assert equality_set(sub, fast=True) == ()
-        assert equality_set(sub, fast=False) == ()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rootless restriction was enumerated")
+
+        monkeypatch.setattr(engine, "enumerate_candidates", unreachable)
+        assert equality_set(sub) == ()
 
     def test_cache_reuse(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
@@ -128,7 +144,7 @@ class TestEqualitySet:
 class TestTrees:
     def test_gl2_tree_shape(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-        tree = build_tree(root_subproblem(problem), parse_vector(["1/3", "1/3"]))
+        tree = build_tree(problem, parse_vector(["1/3", "1/3"]))
         assert tree.sign == "-"
         assert len(tree.children) == 1
         child = tree.children[0]
@@ -140,17 +156,32 @@ class TestTrees:
     def test_stratifying_matches_summary(self):
         for spec in ("g2-adjoint", "sl3-forms:4", "gl2-ex3:2,0"):
             summary = stratify(parse_catalog_spec(spec))
-            base = root_subproblem(summary.problem)
             for decision in summary.decisions:
-                assert is_stratifying(base, decision.candidate.l) \
+                assert is_stratifying(summary.problem, decision.candidate.l) \
                     == decision.stratifying
 
-    def test_fast_trees_identical(self):
-        for spec in ("g2-adjoint", "sl3-forms:4", "torus:1,0|0,1|1,1",
-                     "direct-sum:sl2-forms:2+sl2-forms:3"):
-            full = stratify(parse_catalog_spec(spec))
-            fast = stratify(parse_catalog_spec(spec), fast=True)
-            assert [d.tree for d in full.decisions] == [d.tree for d in fast.decisions]
+    def test_rootless_restrictions_have_no_equality_candidates(self):
+        # the lemma behind the prune in `equality_set`, checked against the
+        # unpruned enumeration at every tree node
+        problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
+        problems += [random_problem(random.Random(seed)) for seed in range(20)]
+        rootless = 0
+
+        def walk(problem, node):
+            nonlocal rootless
+            sub = restrict(problem, node.l)
+            if not sub.roots:
+                rootless += 1
+                assert not any(c.bound.is_equality
+                               for c in enumerate_candidates(sub, dedup=False))
+            for child in node.children:
+                walk(sub, child)
+
+        for problem in problems:
+            summary = stratify(problem)
+            for decision in summary.decisions:
+                walk(summary.problem, decision.tree)
+        assert rootless > 0
 
     def test_invariants_walk(self):
         def walk(node: SignedTree):
@@ -170,7 +201,6 @@ class TestTrees:
 class TestDimensions:
     def test_g2_frozen_values(self):
         problem = validate(parse_catalog_spec("g2-adjoint"))
-        base = root_subproblem(problem)
         expected = {
             ("1/2", "1/3"): 6,
             ("1", "1/2"): 8,
@@ -178,22 +208,19 @@ class TestDimensions:
             ("3", "5/3"): 12,
         }
         for l, dim in expected.items():
-            assert stratum_dimension(base, parse_vector(list(l))) == dim
+            assert stratum_dimension(problem, parse_vector(list(l))) == dim
 
     def test_orbit_independent(self):
         summary = stratify(parse_catalog_spec("adjoint:b2"))
         problem = summary.problem
-        base = root_subproblem(problem)
-        from nullcone.rootdata import weyl_orbit
         for stratum in summary.strata:
-            for l in weyl_orbit(problem, stratum.l):
-                assert stratum_dimension(base, l) == stratum.dim
+            for l in problem.orbit(stratum.l):
+                assert stratum_dimension(problem, l) == stratum.dim
 
     def test_openness(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-        base = root_subproblem(problem)
-        assert openness_check(base, parse_vector([0, "1/2"]))
-        assert not openness_check(base, parse_vector(["1/6", "1/6"]))
+        assert openness_check(problem, parse_vector([0, "1/2"]))
+        assert not openness_check(problem, parse_vector(["1/6", "1/6"]))
 
 
 class TestGenericRepresentative:

@@ -95,6 +95,9 @@ class TestTextReport:
         assert "roots<0: 1" in text
         assert "weights<1: 2" in text
         assert "stratifying" in text
+        assert text.endswith(
+            "candidates:\n"
+            "  [0] l=(-1/2)  M=[0]  roots<0: 1  weights<1: 2  stratifying\n")
 
     def test_fmt_vec(self):
         assert fmt_vec(parse_vector(["1/2", -1])) == "(1/2, -1)"
@@ -169,6 +172,13 @@ class TestCli:
         assert main(["tree", "gl2-ex3:2,1"]) == 0
         out = capsys.readouterr().out
         assert "[-] l=(1/3, 1/3)" in out
+
+    def test_fast_flag_is_a_no_op(self, capsys):
+        for argv in (["tree", "adjoint:b2"], ["stratify", "g2-adjoint"]):
+            assert main(argv) == 0
+            plain = capsys.readouterr().out
+            assert main(argv + ["--fast"]) == 0
+            assert capsys.readouterr().out == plain
 
     def test_catalog_list(self, capsys):
         assert main(["catalog-list"]) == 0

@@ -17,7 +17,6 @@ from nullcone.rootdata import (
     reflect,
     reflection_matrix,
     validate,
-    weyl_orbit,
 )
 
 
@@ -51,14 +50,14 @@ class TestReflections:
 class TestOrbits:
     def test_a2_root_orbit(self):
         problem = validate(catalog("adjoint", ["a2"]))
-        orbit = weyl_orbit(problem, parse_vector([1, 0]))
+        orbit = problem.orbit(parse_vector([1, 0]))
         assert len(orbit) == 6
         assert set(orbit) == set(problem.roots)
 
     def test_g2_orbit_sizes(self):
         problem = validate(catalog("g2-adjoint"))
-        assert len(weyl_orbit(problem, parse_vector([5, 1]))) == 12
-        assert len(weyl_orbit(problem, parse_vector([1, 1]))) == 6
+        assert len(problem.orbit(parse_vector([5, 1]))) == 12
+        assert len(problem.orbit(parse_vector([1, 1]))) == 6
 
     def test_cap(self):
         problem = validate(catalog("g2-adjoint"))
@@ -68,7 +67,7 @@ class TestOrbits:
     def test_orbit_deterministic(self):
         problem = validate(catalog("adjoint", ["b2"]))
         v = parse_vector([1, 1])
-        assert weyl_orbit(problem, v) == weyl_orbit(problem, v)
+        assert problem.orbit(v) == problem.orbit(v)
 
 
 def _valid_problem():
