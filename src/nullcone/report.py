@@ -45,9 +45,10 @@ def _index_list(indices) -> list[int]:
     return [int(i) for i in indices]
 
 
-def _schema_dict(candidates, strata: Iterable[StratumReport], dim_nullcone: int,
+def _schema_dict(candidates: Iterable[tuple[Vec, tuple[int, ...], bool, SignedTree]],
+                 strata: Iterable[StratumReport], dim_nullcone: int,
                  equals_V: bool, max_components: tuple[int, ...]) -> dict[str, Any]:
-    """The JSON layout; `candidates` yields (l, member indices, stratifying, tree)."""
+    """The JSON layout; each candidate is (l, member indices, stratifying, tree)."""
     return {
         "candidates": [{
             "l": vector_to_json(l),
