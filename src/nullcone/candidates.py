@@ -10,6 +10,13 @@ effective rank.  Any saturated weight set lives in an affine hyperplane, so
 it has an affinely independent spanning subset within that size bound and
 the scan cannot miss it; the brute-force oracle in `oracle` double-checks
 this on every tested instance.
+
+A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
+The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
+aff(subset) lies in aff(M), which lies in H.  f is in aff(subset), and f is
+the point of H nearest the origin, so it is the point of aff(M) nearest the
+origin too.  Hence a candidate never needs `perp` of its members; only the
+independent check `verify_candidate` recomputes it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Optional, Sequence
 
 from .ratgeom import (
     InvariantError,
+    Q,
     ResourceError,
     Vec,
     affinely_independent_subsets,
@@ -27,7 +35,7 @@ from .ratgeom import (
     perp,
     vscale,
 )
-from .rootdata import Levels, ValidatedProblem
+from .rootdata import IntVec, Levels, ValidatedProblem
 
 
 @dataclass(frozen=True)
@@ -78,41 +86,33 @@ class Candidate:
 
 
 def candidate_from_subset(problem: ValidatedProblem, subset: Sequence[int],
-                          tried: Optional[dict[Vec, Optional[Candidate]]] = None
+                          tried: Optional[dict[tuple[IntVec, int], Optional[Candidate]]] = None
                           ) -> Optional[Candidate]:
     """Build the candidate generated by a weight subset, or None.
 
-    Rejections: the affine hull passes through the origin; the saturated set
-    has a different affine hull than the subset (some other spanning subset
-    regenerates that candidate); the counting bound fails; the foot leaves
-    the convex hull.  Past the foot every test depends on l alone, so
-    `tried` records the result for each l and answers repeats from it.
+    Rejections: the affine hull passes through the origin; the counting
+    bound fails; the foot leaves the convex hull of the saturated set.  The
+    foot is the foot of the saturated set too (see the module docstring),
+    so it is not recomputed.  The foot f and l = f / |f|^2 determine each
+    other, so `tried` records the result for each foot (as integers) and
+    answers repeats from it; l is built only for a new foot.
     """
-    space = problem.space
-    foot = problem.lattice.foot(subset)
-    if is_zero_vec(foot):
-        return None
-    l = vscale(1 / space.norm_sq(foot), foot)
-    if tried is not None and l in tried:
-        return tried[l]
-    result = _candidate_at(problem, l, foot)
+    lattice = problem.lattice
+    foot = lattice.foot(subset)
+    if tried is not None and foot in tried:
+        return tried[foot]
+    point, den = foot
+    result = None
+    if any(point):
+        l = lattice.direction(point, den)
+        levels = lattice.levels(l)
+        bound = CountBound.of(levels)
+        if bound.holds and lattice.hull_contains(point, den, levels.on):
+            result = Candidate(l, levels.on, tuple(Q(a, den) for a in point),
+                               bound, levels.mult_at_least)
     if tried is not None:
-        tried[l] = result
+        tried[foot] = result
     return result
-
-
-def _candidate_at(problem: ValidatedProblem, l: Vec, foot: Vec) -> Optional[Candidate]:
-    levels = problem.lattice.levels(l)
-    bound = CountBound.of(levels)
-    if not bound.holds:
-        return None
-    members = levels.on
-    member_points = [problem.weights[i][0] for i in members]
-    if perp(problem.space, member_points) != foot:
-        return None
-    if not in_convex_hull(problem.space, foot, member_points):
-        return None
-    return Candidate(l, members, foot, bound, levels.mult_at_least)
 
 
 def enumerate_candidates(problem: ValidatedProblem,
@@ -122,11 +122,11 @@ def enumerate_candidates(problem: ValidatedProblem,
     With dedup enabled, Weyl-equivalent candidates are grouped and the
     lexicographically minimal orbit member represents each group.
     """
-    points = tuple(v for v, _ in problem.weights)
     found: dict[Vec, Candidate] = {}
-    tried: dict[Vec, Optional[Candidate]] = {}
-    if points and problem.effective_rank >= 1:
-        for subset in affinely_independent_subsets(points, problem.effective_rank):
+    tried: dict[tuple[IntVec, int], Optional[Candidate]] = {}
+    if problem.weights and problem.effective_rank >= 1:
+        for subset in affinely_independent_subsets(problem.lattice.weights,
+                                                   problem.effective_rank):
             cand = candidate_from_subset(problem, subset, tried)
             if cand is not None and cand.l not in found:
                 found[cand.l] = cand

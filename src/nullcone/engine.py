@@ -200,10 +200,9 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     cache: Cache = {}
     decisions = []
     for cand in enumerate_candidates(problem, dedup=dedup):
+        # no depth check: restrict refuses effective rank < 1, so no tree
+        # gets deeper than the rank
         tree = build_tree(problem, cand.l, cache)
-        if tree.depth() > problem.rank:
-            raise InvariantError(
-                f"tree of {cand.l} has depth {tree.depth()} > rank {problem.rank}")
         decisions.append(CandidateDecision(cand, tree, tree.plus))
     reports = [stratum_report(problem, d.candidate)
                for d in decisions if d.stratifying]

@@ -112,15 +112,12 @@ def _det(rows: list[list[Q]]) -> Q:
 
 
 def is_positive_definite(gram: Sequence[Sequence[Q]]) -> bool:
-    """Sylvester test: all leading principal minors positive, exactly."""
+    """Whether a square matrix is a symmetric positive definite form: the
+    Sylvester test of `gram_violations`, exactly."""
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise InputError("gram matrix must be square")
-    for k in range(1, n + 1):
-        minor = [[Q(gram[i][j]) for j in range(k)] for i in range(k)]
-        if _det(minor) <= 0:
-            return False
-    return True
+    return not gram_violations(gram)
 
 
 def gram_violations(gram: Sequence[Sequence[Q]]) -> list[str]:
@@ -218,36 +215,44 @@ def solve_linear_exact(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[Vec
     return tuple(m[r][n] for r in range(n))
 
 
-EchelonRows = list[tuple[int, Vec]]
+EchelonRows = list[tuple[int, Sequence]]
 
 
-def echelon_extend(rows: EchelonRows, v: Vec) -> Optional[EchelonRows]:
-    """Add v to a reduced independent family; None if v is dependent."""
-    w = list(v)
+def echelon_extend(rows: EchelonRows, v: Sequence) -> Optional[EchelonRows]:
+    """Add v to an independent family in echelon form; None if v is dependent.
+
+    Fraction-free: v is reduced against each row by w -> p w - w[piv] row,
+    where p = row[piv] is the row's pivot entry.  No division occurs, so
+    integer vectors stay integers, and Fraction vectors get the same
+    verdicts as their integer multiples.
+    """
+    w = v
     for piv, row in rows:
         c = w[piv]
         if c:
-            w = [a - c * b for a, b in zip(w, row)]
+            p = row[piv]
+            w = [p * a - c * b for a, b in zip(w, row)]
     piv = next((i for i, a in enumerate(w) if a), None)
     if piv is None:
         return None
-    inv = 1 / w[piv]
-    return rows + [(piv, tuple(a * inv for a in w))]
+    return rows + [(piv, w)]
 
 
-def affinely_independent_subsets(points: Sequence[Vec],
+def affinely_independent_subsets(points: Sequence[Sequence],
                                  max_size: int) -> Iterator[tuple[int, ...]]:
     """Index subsets of affinely independent points, in lexicographic order.
 
-    A subset stays affinely independent when points are removed, so the
-    depth-first search can prune every dependent extension without losing
-    any larger independent subset.
+    The points may be Fraction or int vectors; scaling every point by one
+    positive number gives the same subsets.  A subset stays affinely
+    independent when points are removed, so the depth-first search can
+    prune every dependent extension without losing any larger independent
+    subset.
     """
     if max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
     n = len(points)
 
-    def extend(prefix: tuple[int, ...], base: Vec,
+    def extend(prefix: tuple[int, ...], base: Sequence,
                rows: EchelonRows) -> Iterator[tuple[int, ...]]:
         if len(prefix) == max_size:
             return

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .ratgeom import (
     GramSpace,
     InputError,
+    InvariantError,
     Matrix,
     Q,
     ResourceError,
@@ -64,14 +65,26 @@ def matvec(m: Matrix, v: Vec) -> Vec:
 
 
 def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, ...]:
-    """BFS closure of v under the generator matrices, capped at `cap` points."""
-    seen = {v}
-    frontier = [v]
+    """BFS closure of v under the generator matrices, capped at `cap` points.
+
+    The BFS runs on integers.  The generators' denominators are cleared once,
+    g = G / D, and each point x = nums / den is kept as the pair (nums, den)
+    in lowest terms, so g x = (G nums) / (D den) up to one gcd.
+    """
+    scale = _common_denominator(q for g in generators for row in g for q in row)
+    matrices = [tuple(_scaled(row, scale) for row in g) for g in generators]
+    den = _common_denominator(v)
+    start = (_scaled(v, den), den)
+    seen = {start}
+    frontier = [start]
     while frontier:
         new = []
-        for x in frontier:
-            for g in generators:
-                y = matvec(g, x)
+        for nums, den in frontier:
+            den *= scale
+            for g in matrices:
+                image = [sum(map(mul, row, nums)) for row in g]
+                k = math.gcd(den, *image)
+                y = (tuple(a // k for a in image), den // k)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
@@ -79,7 +92,7 @@ def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, 
                             f"orbit size exceeds orbit_cap={cap}")
                     new.append(y)
         frontier = new
-    return tuple(sorted(seen))
+    return tuple(sorted(tuple(Q(a, den) for a in nums) for nums, den in seen))
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +182,16 @@ class IntegerLattice:
                       tuple(sides[0]), tuple(sides[1]), tuple(sides[2]),
                       mult_below, mult_at_least)
 
-    def foot(self, subset: Sequence[int]) -> Vec:
+    def foot(self, subset: Sequence[int]) -> tuple[IntVec, int]:
         """`ratgeom.perp` of the weights indexed by `subset`, fraction-free.
 
-        The normal equations <d_i, d_j> x_j = -<d_i, w_0> of the differences
-        d_i = w_i - w_0 are solved by Bareiss elimination (Bareiss 1968) on
-        integers.  Their matrix is positive semidefinite, so a zero pivot
-        means d_i lies in the span of the earlier differences, and then its
-        whole row is zero: skipping it drops the differences `perp` drops.
-        Only the foot itself is turned into Fractions.
+        The foot is point / den, returned as (point, den) in lowest terms
+        with den > 0.  The normal equations <d_i, d_j> x_j = -<d_i, w_0> of
+        the differences d_i = w_i - w_0 are solved by Bareiss elimination
+        (Bareiss 1968) on integers.  Their matrix is positive semidefinite,
+        so a zero pivot means d_i lies in the span of the earlier
+        differences, and then its whole row is zero: skipping it drops the
+        differences `perp` drops.
         """
         if not subset:
             raise InputError("perp of an empty point set")
@@ -210,8 +224,75 @@ class IntegerLattice:
         for c, d in zip(y, diffs):
             if c:
                 point = [a + c * x for a, x in zip(point, d)]
-        den = det * self.weight_den
-        return tuple(Q(a, den) for a in point)
+        k = math.gcd(det * self.weight_den, *point)
+        return tuple(a // k for a in point), det * self.weight_den // k
+
+    def direction(self, point: IntVec, den: int) -> Vec:
+        """l = f / |f|^2 for the foot f = point / den, as Fractions.
+
+        |f|^2 = (point . gram point) / (gram_den den^2), so
+        l = (gram_den den / (point . gram point)) point.
+        """
+        norm = sum(a * sum(map(mul, row, point)) for a, row in zip(point, self.gram))
+        scale = self.gram_den * den
+        return tuple(Q(a * scale, norm) for a in point)
+
+    def hull_contains(self, point: IntVec, den: int, members: Sequence[int]) -> bool:
+        """Whether point / den lies in the convex hull of the weights `members`.
+
+        `ratgeom.in_convex_hull`, fraction-free.  A phase-1 simplex with
+        Bland's rule decides whether some y >= 0 has
+        sum_j y_j weights[j] = weight_den point and sum_j y_j = den.  The
+        tableau is kept as integers over the common denominator d, the
+        previous pivot: a pivot p in row r sends each entry a of another row
+        to (p a - f b) // d, where f is that row's entry in the pivot column
+        and b the pivot row's entry in a's column.  Every entry is a minor
+        of the starting tableau, so the division is exact (Bareiss 1968),
+        and d > 0, so entries carry the signs of the true ones.  Ratios are
+        compared by cross-multiplication.  The artificial columns are left
+        out: an artificial that leaves the basis never re-enters, and the
+        optimum is still 0 exactly when the system is feasible.
+        """
+        n = len(members)
+        if not n:
+            raise InputError("convex hull of an empty point set")
+        cols = [self.weights[j] for j in members]
+        target = [a * self.weight_den for a in point]
+        tab = [[w[i] for w in cols] + [b] for i, b in enumerate(target)]
+        tab.append([1] * n + [den])
+        tab = [row if row[-1] >= 0 else [-a for a in row] for row in tab]
+        # basic variables: the artificials n.. at first, by row
+        basis = list(range(n, n + len(tab)))
+        # reduced costs of the artificial sum, and its negated value last
+        z = [-sum(col) for col in zip(*tab)]
+        d = 1
+        while True:
+            enter = next((j for j in range(n) if z[j] < 0), None)
+            if enter is None:
+                return not z[-1]
+            leave = None
+            for i, row in enumerate(tab):
+                a = row[enter]
+                if a > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    best = tab[leave]
+                    diff = row[-1] * best[enter] - best[-1] * a
+                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                        leave = i
+            if leave is None:
+                raise InvariantError("phase-1 simplex: unbounded objective")
+            pivot_row = tab[leave]
+            p = pivot_row[enter]
+            for i, row in enumerate(tab):
+                if i != leave:
+                    f = row[enter]
+                    tab[i] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
+            f = z[enter]
+            z = [(p * a - f * b) // d for a, b in zip(z, pivot_row)]
+            d = p
+            basis[leave] = enter
 
 
 def integer_lattice(space: GramSpace, roots: Sequence[Vec],

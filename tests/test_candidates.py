@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import pytest
 from fractions import Fraction as Q
 
@@ -9,7 +10,16 @@ from nullcone.candidates import (
     saturate,
     verify_candidate,
 )
-from nullcone.ratgeom import ResourceError, make_space, parse_vector
+from nullcone.oracle import random_problem
+from nullcone.ratgeom import (
+    ResourceError,
+    affinely_independent_subsets,
+    is_zero_vec,
+    make_space,
+    parse_vector,
+    perp,
+    vscale,
+)
 from nullcone.rootdata import (
     Problem,
     RootSystem,
@@ -19,6 +29,8 @@ from nullcone.rootdata import (
     parse_catalog_spec,
     validate,
 )
+
+from conftest import CATALOG_SPECS
 
 
 def _torus(gram, weights):
@@ -151,3 +163,31 @@ class TestVerifyCandidate:
         cand = enumerate_candidates(problem)[0]
         wrong = dataclasses.replace(cand, l=tuple(2 * x for x in cand.l))
         assert verify_candidate(problem, wrong)
+
+
+def test_subset_foot_is_member_foot():
+    """The lemma in the module docstring, on the Fraction reference path:
+    wherever the counting bound holds, the foot of the saturated set is the
+    foot of the subset that generated l, so enumeration need not check it."""
+    problems = [validate(parse_catalog_spec(spec)) for spec in CATALOG_SPECS]
+    problems += [validate(random_problem(random.Random(i))) for i in range(20)]
+    checked = 0
+    for problem in problems:
+        space = problem.space
+        points = [v for v, _ in problem.weights]
+        seen = set()
+        for subset in affinely_independent_subsets(points, problem.effective_rank):
+            foot = perp(space, [points[i] for i in subset])
+            if is_zero_vec(foot) or foot in seen:
+                continue
+            seen.add(foot)
+            l = vscale(1 / space.norm_sq(foot), foot)
+            heights = [space.inner(l, v) for v in points]
+            negative = sum(1 for alpha in problem.roots if space.inner(l, alpha) < 0)
+            below = sum(m for (_, m), h in zip(problem.weights, heights) if h < 1)
+            if negative > below:
+                continue
+            members = [v for v, h in zip(points, heights) if h == 1]
+            assert perp(space, members) == foot
+            checked += 1
+    assert checked >= 100

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -76,6 +77,15 @@ class TestRestrict:
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
         with pytest.raises(InvariantError, match="not orthogonal"):
             restrict(sub, parse_vector([1, 0]))
+
+    def test_effective_rank_zero_raises(self):
+        # two constraints in rank 2 leave nothing to restrict
+        problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
+        c = parse_vector([1, -1])
+        sub = dataclasses.replace(problem, constraints=(c, c))
+        assert sub.effective_rank == 0
+        with pytest.raises(InvariantError, match="effective rank 0"):
+            restrict(sub, parse_vector(["1/3", "1/3"]))
 
     def test_invariants_hold_under_optimize(self):
         # `python -O` strips asserts; the restriction and tree checks must

@@ -1,9 +1,12 @@
 """The integer lattice kernel against the Fraction reference.
 
 `IntegerLattice.levels` must sort weights and roots exactly as
-`GramSpace.inner` compared with 1 and 0 does, and `IntegerLattice.foot`
-must equal `ratgeom.perp` on every subset, affinely dependent ones and
-projected (restricted) weights included.  The memo by l in
+`GramSpace.inner` compared with 1 and 0 does, `IntegerLattice.foot` must
+equal `ratgeom.perp` on every subset, affinely dependent ones and projected
+(restricted) weights included, and `IntegerLattice.hull_contains` must
+agree with `ratgeom.in_convex_hull`.  `affinely_independent_subsets` must
+give the same subsets on the lattice's ints as on Fractions, and the
+integer `orbit_closure` must equal a Fraction BFS.  The memo by foot in
 `enumerate_candidates` must run the hull LP at most once per distinct l
 without changing the candidates, and the naive oracle must stay independent
 of the kernel.
@@ -11,13 +14,14 @@ of the kernel.
 
 import ast
 import inspect
+import itertools
+import math
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-import nullcone.candidates as candidates_module
-import nullcone.rootdata as rootdata
 from nullcone.candidates import (
     candidate_from_subset,
     enumerate_candidates,
@@ -26,16 +30,26 @@ from nullcone.candidates import (
 from nullcone.oracle import naive_candidates
 from nullcone.ratgeom import (
     GramSpace,
+    ResourceError,
     affinely_independent_subsets,
+    in_convex_hull,
     is_zero_vec,
     perp,
     project_hyperplane,
     vscale,
 )
-from nullcone.rootdata import integer_lattice, parse_catalog_spec, validate
+from nullcone.rootdata import (
+    IntegerLattice,
+    integer_lattice,
+    matvec,
+    orbit_closure,
+    parse_catalog_spec,
+    reflection_generators,
+    validate,
+)
 
 KERNEL_NAMES = {"IntegerLattice", "Levels", "integer_lattice", "lattice",
-                "levels", "foot"}
+                "levels", "foot", "direction", "hull_contains"}
 
 rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
 
@@ -92,7 +106,164 @@ def test_foot_matches_perp(data, draw):
     for _ in range(4):
         # repeats and more than rank + 1 points give dependent subsets
         subset = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2))
-        assert lattice.foot(subset) == perp(space, [weights[i][0] for i in subset])
+        point, den = lattice.foot(subset)
+        assert den > 0 and math.gcd(den, *point) == 1
+        assert tuple(Q(a, den) for a in point) \
+            == perp(space, [weights[i][0] for i in subset])
+
+
+def _as_ints(v):
+    """v as (integer point, den) with v = point / den."""
+    den = math.lcm(*(q.denominator for q in v))
+    return tuple(int(q * den) for q in v), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_inputs(), st.data())
+def test_hull_matches_in_convex_hull(data, draw):
+    space, roots, weights, _ = data
+    lattice = integer_lattice(space, roots, weights)
+    points = [v for v, _ in weights]
+    n = len(points)
+    members = sorted(draw.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    member_points = [points[i] for i in members]
+    kind = draw.draw(st.sampled_from(["foot", "convex", "free"]))
+    if kind == "foot":
+        # the foot of some weights: inside, on the boundary or outside
+        p = perp(space, [points[i] for i in draw.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=4))])
+    elif kind == "convex":
+        # zero coefficients put the point on a face of the hull
+        coeffs = draw.draw(st.lists(st.integers(0, 3), min_size=len(members),
+                                    max_size=len(members)).filter(any))
+        total = sum(coeffs)
+        p = tuple(sum(Q(c, total) * v[i] for c, v in zip(coeffs, member_points))
+                  for i in range(space.rank))
+    else:
+        p = draw.draw(st.tuples(*[rationals] * space.rank))
+    point, den = _as_ints(p)
+    assert lattice.hull_contains(point, den, members) \
+        == in_convex_hull(space, p, member_points)
+
+
+def _affinely_independent(points):
+    """Brute force: the differences to the first point have full row rank."""
+    rows = [[a - b for a, b in zip(q, points[0])] for q in points[1:]]
+    for k, row in enumerate(rows):
+        piv = next((i for i, a in enumerate(row) if a), None)
+        if piv is None:
+            return False
+        for other in rows[k + 1:]:
+            f = other[piv] / row[piv]
+            other[:] = [a - f * b for a, b in zip(other, row)]
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_inputs())
+def test_subsets_same_on_ints_and_fractions(data):
+    space, roots, weights, _ = data
+    lattice = integer_lattice(space, roots, weights)
+    points = [v for v, _ in weights]
+    for size in range(1, space.rank + 2):
+        found = list(affinely_independent_subsets(points, size))
+        assert list(affinely_independent_subsets(lattice.weights, size)) == found
+        # depth-first with increasing indices is lexicographic order
+        assert found == sorted(
+            subset for k in range(1, size + 1)
+            for subset in itertools.combinations(range(len(points)), k)
+            if _affinely_independent([points[i] for i in subset]))
+
+
+def _fraction_orbit(generators, v, cap):
+    """The orbit BFS on Fractions, with `matvec`."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = matvec(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > cap:
+                        raise ResourceError(f"orbit size exceeds orbit_cap={cap}")
+                    new.append(y)
+        frontier = new
+    return tuple(sorted(seen))
+
+
+def _same_orbit(generators, v, cap):
+    try:
+        expected = _fraction_orbit(generators, v, cap)
+    except ResourceError:
+        with pytest.raises(ResourceError):
+            orbit_closure(generators, v, cap)
+        return None
+    assert orbit_closure(generators, v, cap) == expected
+    return expected
+
+
+@st.composite
+def conjugated_signed_permutations(draw):
+    """Generators of the signed permutation group of rank n, conjugated by a
+    random invertible (triangular) rational S: rational entries, finite
+    orbits."""
+    n = draw(st.integers(1, 3))
+    nonzero = rationals.filter(bool)
+    s = [[draw(nonzero) if i == j else draw(rationals) if j < i else Q(0)
+          for j in range(n)] for i in range(n)]
+    s_inv = _inverse(s)
+    plain = [tuple(tuple(Q(-1) if i == j == 0 else Q(int(i == j)) for j in range(n))
+                   for i in range(n))]
+    for k in range(n - 1):
+        swap = list(range(n))
+        swap[k], swap[k + 1] = k + 1, k
+        plain.append(tuple(tuple(Q(int(swap[i] == j)) for j in range(n))
+                           for i in range(n)))
+    generators = tuple(_matmul(_matmul(s, g), s_inv) for g in plain)
+    return generators, tuple(draw(rationals) for _ in range(n))
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _inverse(m):
+    """Gauss-Jordan inverse of an invertible lower triangular matrix."""
+    n = len(m)
+    rows = [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugated_signed_permutations())
+def test_orbit_matches_fraction_bfs_rational_generators(data):
+    generators, v = data
+    orbit = _same_orbit(generators, v, 100)
+    assert orbit is not None and v in orbit
+    # the cap binds exactly when the orbit is larger than it
+    _same_orbit(generators, v, len(orbit))
+    if len(orbit) > 1:
+        _same_orbit(generators, v, len(orbit) - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_inputs())
+def test_orbit_matches_fraction_bfs_reflections(data):
+    # reflections in arbitrary vectors often generate an infinite group,
+    # so the cap is reached on both sides
+    space, roots, weights, l = data
+    generators = reflection_generators(space, [r for r in roots if not is_zero_vec(r)])
+    _same_orbit(generators, l, 40)
+    _same_orbit(generators, weights[0][0], 40)
 
 
 def _distinct_nonzero_l(problem):
@@ -117,13 +288,13 @@ def test_memo_runs_hull_once_per_l(monkeypatch):
             if cand is not None:
                 unmemoized.setdefault(cand.l, cand)
         calls = []
-        original = candidates_module.in_convex_hull
+        original = IntegerLattice.hull_contains
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(candidates_module, "in_convex_hull", counting)
+        monkeypatch.setattr(IntegerLattice, "hull_contains", counting)
         raw = enumerate_candidates(problem, dedup=False)
         monkeypatch.undo()
         assert 0 < len(calls) <= len(_distinct_nonzero_l(problem))
@@ -148,7 +319,9 @@ def test_references_run_without_kernel(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("the reference path reached the integer kernel")
 
-    monkeypatch.setattr(rootdata.IntegerLattice, "levels", unavailable)
-    monkeypatch.setattr(rootdata.IntegerLattice, "foot", unavailable)
+    monkeypatch.setattr(IntegerLattice, "levels", unavailable)
+    monkeypatch.setattr(IntegerLattice, "foot", unavailable)
+    monkeypatch.setattr(IntegerLattice, "direction", unavailable)
+    monkeypatch.setattr(IntegerLattice, "hull_contains", unavailable)
     assert all(verify_candidate(problem, cand) == [] for cand in found)
     assert set(naive_candidates(problem, dedup=False)) == {c.l for c in found}
