@@ -200,8 +200,6 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     cache: Cache = {}
     decisions = []
     for cand in enumerate_candidates(problem, dedup=dedup):
-        # no depth check: restrict refuses effective rank < 1, so no tree
-        # gets deeper than the rank
         tree = build_tree(problem, cand.l, cache)
         decisions.append(CandidateDecision(cand, tree, tree.plus))
     reports = [stratum_report(problem, d.candidate)

@@ -254,8 +254,6 @@ class IntegerLattice:
         optimum is still 0 exactly when the system is feasible.
         """
         n = len(members)
-        if not n:
-            raise InputError("convex hull of an empty point set")
         cols = [self.weights[j] for j in members]
         target = [a * self.weight_den for a in point]
         tab = [[w[i] for w in cols] + [b] for i, b in enumerate(target)]
