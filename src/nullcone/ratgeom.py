@@ -90,27 +90,6 @@ def dot(u: Vec, v: Vec) -> Q:
 # ---------------------------------------------------------------------------
 # Gram form
 
-def _det(rows: list[list[Q]]) -> Q:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def is_positive_definite(gram: Sequence[Sequence[Q]]) -> bool:
     """Whether a square matrix is a symmetric positive definite form: the
     Sylvester test of `gram_violations`, exactly."""
@@ -134,14 +113,21 @@ def gram_violations(gram: Sequence[Sequence[Q]]) -> list[str]:
                 out.append(
                     f"gram matrix is not symmetric: entry ({i},{j})={gram[i][j]} "
                     f"but ({j},{i})={gram[j][i]}")
-    if not out:
-        for k in range(1, n + 1):
-            minor = [[Q(gram[i][j]) for j in range(k)] for i in range(k)]
-            d = _det(minor)
-            if d <= 0:
-                out.append(
-                    f"gram matrix is not positive definite: leading minor {k} is {d}")
-                break
+    if out:
+        return out
+    # Sylvester: while the leading minors stay positive, elimination needs
+    # no row swaps and leading minor k is the product of the first k pivots
+    m = [[Q(x) for x in row] for row in gram]
+    minor = Q(1)
+    for k in range(n):
+        minor *= m[k][k]
+        if minor <= 0:
+            out.append(
+                f"gram matrix is not positive definite: leading minor {k + 1} is {minor}")
+            break
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
     return out
 
 
