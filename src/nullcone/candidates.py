@@ -15,8 +15,10 @@ A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
 aff(subset) lies in aff(M), which lies in H.  f is in aff(subset), and f is
 the point of H nearest the origin, so it is the point of aff(M) nearest the
-origin too.  Hence a candidate never needs `perp` of its members; only the
-independent check `verify_candidate` recomputes it.
+origin too.  Hence enumeration never needs `perp` of the members.  The
+Fraction `perp` recomputes it only for the candidates a caller keeps:
+`check_foot` once per candidate `engine.stratify` decides, and the
+independent check `verify_candidate`.
 """
 
 from __future__ import annotations
@@ -151,6 +153,15 @@ def enumerate_candidates(problem: ValidatedProblem,
                 f"Weyl image {representative} of candidate {l} was not enumerated")
         kept[representative] = found[representative]
     return tuple(kept[l] for l in sorted(kept))
+
+
+def check_foot(problem: ValidatedProblem, cand: Candidate) -> None:
+    """Raise InvariantError unless the stored integer-kernel foot equals the
+    Fraction `perp` of the members, as the module docstring shows it must."""
+    member_points = [problem.weights[i][0] for i in cand.member_indices]
+    if perp(problem.space, member_points) != cand.perp_point:
+        raise InvariantError(
+            f"candidate {cand.l}: foot {cand.perp_point} is not perp of the members")
 
 
 def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:

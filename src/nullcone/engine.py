@@ -19,6 +19,7 @@ from typing import Optional, Union
 from .candidates import (
     Candidate,
     CountBound,
+    check_foot,
     count_bound,
     enumerate_candidates,
 )
@@ -200,6 +201,7 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     cache: Cache = {}
     decisions = []
     for cand in enumerate_candidates(problem, dedup=dedup):
+        check_foot(problem, cand)
         tree = build_tree(problem, cand.l, cache)
         decisions.append(CandidateDecision(cand, tree, tree.plus))
     reports = [stratum_report(problem, d.candidate)

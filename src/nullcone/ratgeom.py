@@ -90,13 +90,31 @@ def dot(u: Vec, v: Vec) -> Q:
 # ---------------------------------------------------------------------------
 # Gram form
 
+def _nonpositive_minor(gram: Sequence[Sequence[Q]]) -> Optional[tuple[int, Q]]:
+    """The first leading principal minor of a square matrix that is not
+    positive, as (its size, its value), or None if all are positive.
+
+    While the leading minors stay positive, elimination needs no row swaps
+    and leading minor k is the product of the first k pivots.
+    """
+    m = [[Q(x) for x in row] for row in gram]
+    minor = Q(1)
+    for k in range(len(m)):
+        minor *= m[k][k]
+        if minor <= 0:
+            return k + 1, minor
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / m[k][k]
+            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return None
+
+
 def is_positive_definite(gram: Sequence[Sequence[Q]]) -> bool:
-    """Whether a square matrix is a symmetric positive definite form: the
-    Sylvester test of `gram_violations`, exactly."""
+    """Sylvester test: all leading principal minors positive, exactly."""
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise InputError("gram matrix must be square")
-    return not gram_violations(gram)
+    return _nonpositive_minor(gram) is None
 
 
 def gram_violations(gram: Sequence[Sequence[Q]]) -> list[str]:
@@ -115,19 +133,10 @@ def gram_violations(gram: Sequence[Sequence[Q]]) -> list[str]:
                     f"but ({j},{i})={gram[j][i]}")
     if out:
         return out
-    # Sylvester: while the leading minors stay positive, elimination needs
-    # no row swaps and leading minor k is the product of the first k pivots
-    m = [[Q(x) for x in row] for row in gram]
-    minor = Q(1)
-    for k in range(n):
-        minor *= m[k][k]
-        if minor <= 0:
-            out.append(
-                f"gram matrix is not positive definite: leading minor {k + 1} is {minor}")
-            break
-        for r in range(k + 1, n):
-            f = m[r][k] / m[k][k]
-            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    bad = _nonpositive_minor(gram)
+    if bad is not None:
+        out.append(f"gram matrix is not positive definite: leading minor {bad[0]} "
+                   f"is {bad[1]}")
     return out
 
 
@@ -263,8 +272,8 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
 
     Equivalently the unique p in aff(points) with inner(p, q1 - q2) = 0 for
     all q1, q2 in the hull.  Computed from the normal equations over an
-    affinely independent spanning subset; exact since the form is positive
-    definite.
+    affinely independent spanning subset, which is complete once it has
+    rank differences; exact since the form is positive definite.
     """
     if not points:
         raise InputError("perp of an empty point set")
@@ -273,6 +282,8 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     rows: EchelonRows = []
     diffs: list[Vec] = []
     for q in points[1:]:
+        if len(rows) == space.rank:
+            break
         d = vsub(q, base)
         grown = echelon_extend(rows, d)
         if grown is not None:

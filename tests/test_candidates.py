@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 from nullcone.candidates import (
     candidate_from_subset,
+    check_foot,
     count_bound,
     enumerate_candidates,
     saturate,
@@ -12,6 +13,7 @@ from nullcone.candidates import (
 )
 from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
+    InvariantError,
     ResourceError,
     affinely_independent_subsets,
     is_zero_vec,
@@ -163,6 +165,23 @@ class TestVerifyCandidate:
         cand = enumerate_candidates(problem)[0]
         wrong = dataclasses.replace(cand, l=tuple(2 * x for x in cand.l))
         assert verify_candidate(problem, wrong)
+
+
+class TestCheckFoot:
+    def test_enumerated_feet_pass(self):
+        for spec in ("adjoint:a2", "gl2-ex3:2,-1", "sl2-forms:2,3",
+                     "torus:1,0|0,1|1,1"):
+            problem = validate(parse_catalog_spec(spec))
+            for cand in enumerate_candidates(problem, dedup=False):
+                check_foot(problem, cand)
+
+    def test_moved_foot_raises(self):
+        problem = validate(catalog("adjoint", ["a2"]))
+        cand = enumerate_candidates(problem)[0]
+        wrong = dataclasses.replace(
+            cand, perp_point=tuple(2 * x for x in cand.perp_point))
+        with pytest.raises(InvariantError, match="not perp of the members"):
+            check_foot(problem, wrong)
 
 
 def test_subset_foot_is_member_foot():

@@ -280,6 +280,15 @@ class TestStratify:
         top = [i for i, s in enumerate(torus.strata) if s.dim == torus.dim_nullcone]
         assert list(torus.max_component_indices) == top
 
+    def test_decided_feet_checked_against_perp(self, monkeypatch):
+        def moved_feet(problem, dedup=True):
+            return tuple(dataclasses.replace(c, perp_point=tuple(2 * x for x in c.perp_point))
+                         for c in enumerate_candidates(problem, dedup))
+
+        monkeypatch.setattr(engine, "enumerate_candidates", moved_feet)
+        with pytest.raises(InvariantError, match="not perp of the members"):
+            stratify(parse_catalog_spec("adjoint:a2"))
+
     def test_single_zero_weight_torus(self):
         summary = stratify(parse_catalog_spec("torus:0,0"))
         assert summary.decisions == ()

@@ -83,6 +83,18 @@ class TestGram:
         assert gram_violations(((Q(1), Q(2)), (Q(2), Q(1))))  # not definite
         assert gram_violations(((Q(1), Q(0)),))  # ragged
 
+    def test_positive_definite_tests_leading_minors_only(self):
+        # no leading minor is nonpositive; emptiness and symmetry are
+        # reported by gram_violations
+        assert is_positive_definite(())
+        assert gram_violations(()) == ["gram matrix is empty"]
+        skew = ((Q(1), Q(2)), (Q(-2), Q(1)))  # leading minors 1 and 5
+        assert is_positive_definite(skew)
+        assert gram_violations(skew) == [
+            "gram matrix is not symmetric: entry (0,1)=2 but (1,0)=-2"]
+        assert gram_violations(((Q(1), Q(2)), (Q(2), Q(1)))) == [
+            "gram matrix is not positive definite: leading minor 2 is -3"]
+
     def test_space_inner(self):
         space = make_space([[2, -1], [-1, 2]])
         a, b = parse_vector([1, 0]), parse_vector([0, 1])
