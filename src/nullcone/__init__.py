@@ -9,12 +9,7 @@ stratification, all in exact rational arithmetic.
 
 from .candidates import (
     Candidate,
-    CountBound,
-    check_foot,
-    count_bound,
     enumerate_candidates,
-    saturate,
-    verify_candidate,
 )
 from .engine import (
     CandidateDecision,
@@ -22,48 +17,26 @@ from .engine import (
     SignedTree,
     StratumReport,
     build_tree,
-    equality_set,
-    generic_representative,
-    is_stratifying,
-    openness_check,
     restrict,
     stratify,
-    stratum_dimension,
 )
 from .oracle import (
     OracleReport,
-    apply_transform,
     check_rank2_law,
     compare_with_naive,
     invariance_harness,
     naive_candidates,
-    random_problem,
-    random_torus_problem,
-    rank2_non_stratifying,
-    standard_transforms,
 )
 from .ratgeom import (
     GramSpace,
     InputError,
     InvariantError,
-    Q,
     ResourceError,
-    Vec,
-    in_convex_hull,
-    parse_rational,
-    parse_vector,
-    perp,
-    project_hyperplane,
 )
 from .report import (
-    ParsedSummary,
-    from_json_dict,
     from_json_text,
-    to_json_dict,
     to_json_text,
     to_text,
-    tree_from_json,
-    tree_to_json,
 )
 from .rootdata import (
     Problem,
@@ -74,8 +47,6 @@ from .rootdata import (
     catalog,
     direct_sum,
     parse_catalog_spec,
-    problem_from_json,
-    problem_to_json,
     validate,
 )
 from .svg import render_svg
@@ -85,62 +56,33 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate",
     "CandidateDecision",
-    "CountBound",
     "GramSpace",
     "InputError",
     "InvariantError",
     "NullconeSummary",
     "OracleReport",
-    "ParsedSummary",
     "Problem",
-    "Q",
     "ResourceError",
     "RootSystem",
     "SignedTree",
     "StratumReport",
     "ValidatedProblem",
     "ValidationError",
-    "Vec",
     "WeightSystem",
-    "apply_transform",
     "build_tree",
     "catalog",
-    "check_foot",
     "check_rank2_law",
     "compare_with_naive",
-    "count_bound",
     "direct_sum",
     "enumerate_candidates",
-    "equality_set",
-    "from_json_dict",
     "from_json_text",
-    "generic_representative",
-    "in_convex_hull",
     "invariance_harness",
-    "is_stratifying",
     "naive_candidates",
-    "openness_check",
     "parse_catalog_spec",
-    "parse_rational",
-    "parse_vector",
-    "perp",
-    "problem_from_json",
-    "problem_to_json",
-    "project_hyperplane",
-    "random_problem",
-    "random_torus_problem",
-    "rank2_non_stratifying",
     "render_svg",
     "restrict",
-    "saturate",
-    "standard_transforms",
     "stratify",
-    "stratum_dimension",
-    "to_json_dict",
     "to_json_text",
     "to_text",
-    "tree_from_json",
-    "tree_to_json",
     "validate",
-    "verify_candidate",
 ]

@@ -41,50 +41,17 @@ from .rootdata import IntVec, Levels, ValidatedProblem
 
 
 @dataclass(frozen=True)
-class CountBound:
-    """Counts for the bound: roots on the negative side of l versus total
-    multiplicity of weights strictly below the level-1 hyperplane."""
-
-    roots_negative: int
-    weights_below: int
-
-    @property
-    def holds(self) -> bool:
-        return self.roots_negative <= self.weights_below
-
-    @property
-    def is_equality(self) -> bool:
-        return self.roots_negative == self.weights_below
-
-    @staticmethod
-    def of(levels: Levels) -> "CountBound":
-        return CountBound(len(levels.roots_negative), levels.mult_below)
-
-
-def count_bound(problem: ValidatedProblem, l: Vec) -> CountBound:
-    return CountBound.of(problem.lattice.levels(l))
-
-
-def saturate(problem: ValidatedProblem, l: Vec) -> tuple[int, ...]:
-    """Indices of all weights exactly on the hyperplane {inner(l, .) = 1}."""
-    return problem.lattice.levels(l).on
-
-
-@dataclass(frozen=True)
 class Candidate:
+    """A direction l, its foot, and the levels it was accepted with."""
+
     l: Vec
-    member_indices: tuple[int, ...]
     perp_point: Vec
-    bound: CountBound
-    weights_at_least: int
+    levels: Levels
 
     @property
-    def roots_negative(self) -> int:
-        return self.bound.roots_negative
-
-    @property
-    def weights_below(self) -> int:
-        return self.bound.weights_below
+    def member_indices(self) -> tuple[int, ...]:
+        """The saturated weight set M: the weights on {inner(l, .) = 1}."""
+        return self.levels.on
 
 
 def candidate_from_subset(problem: ValidatedProblem, subset: Sequence[int],
@@ -108,10 +75,8 @@ def candidate_from_subset(problem: ValidatedProblem, subset: Sequence[int],
     if any(point):
         l = lattice.direction(point, den)
         levels = lattice.levels(l)
-        bound = CountBound.of(levels)
-        if bound.holds and lattice.hull_contains(point, den, levels.on):
-            result = Candidate(l, levels.on, tuple(Q(a, den) for a in point),
-                               bound, levels.mult_at_least)
+        if levels.holds and lattice.hull_contains(point, den, levels.on):
+            result = Candidate(l, tuple(Q(a, den) for a in point), levels)
     if tried is not None:
         tried[foot] = result
     return result
@@ -192,14 +157,12 @@ def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:
         out.append(f"candidate {cand.l}: foot lies outside the member hull")
     negative = sum(1 for alpha in problem.roots if space.inner(cand.l, alpha) < 0)
     below = sum(m for (_, m), h in zip(problem.weights, heights) if h < 1)
-    bound = CountBound(negative, below)
-    if bound != cand.bound:
-        out.append(f"candidate {cand.l}: stored counts {cand.bound} != {bound}")
-    if not bound.holds:
-        out.append(f"candidate {cand.l}: counting bound fails "
-                   f"({bound.roots_negative} > {bound.weights_below})")
     at_least = sum(m for (_, m), h in zip(problem.weights, heights) if h >= 1)
-    if at_least != cand.weights_at_least:
-        out.append(f"candidate {cand.l}: stored level-ge-1 multiplicity "
-                   f"{cand.weights_at_least} != {at_least}")
+    levels = cand.levels
+    stored = (len(levels.roots_negative), levels.mult_below, levels.mult_at_least)
+    if stored != (negative, below, at_least):
+        out.append(f"candidate {cand.l}: stored counts (roots<0, weights<1, "
+                   f"weights>=1) {stored} != {(negative, below, at_least)}")
+    if negative > below:
+        out.append(f"candidate {cand.l}: counting bound fails ({negative} > {below})")
     return out

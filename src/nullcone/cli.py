@@ -17,11 +17,11 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .engine import stratify
 from .oracle import check_rank2_law, compare_with_naive
-from .ratgeom import InputError, InvariantError, ResourceError
+from .ratgeom import InputError, InvariantError, ResourceError, parse_int
 from .report import (
     _reject_float,
     candidates_text,
@@ -60,18 +60,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the stratification summary as JSON")
     parser.add_argument("--svg", dest="svg_path", metavar="PATH",
                         help="write a picture (rank <= 2 only)")
-    parser.add_argument("--fast", action="store_true",
-                        help="accepted and ignored: the rootless prune is always on")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check stratify output against the naive oracle")
     parser.add_argument("--no-dedup", action="store_true",
                         help="keep one candidate per vector instead of per Weyl orbit")
-    parser.add_argument("--orbit-cap", type=int, metavar="N",
+    parser.add_argument("--orbit-cap", metavar="N",
                         help="abort Weyl orbit computations beyond N elements")
     return parser
 
 
-def load_problem(text: str, orbit_cap: Optional[int] = None) -> Problem:
+def load_problem(text: str, orbit_cap: Union[int, str, None] = None) -> Problem:
     path = Path(text)
     if path.exists():
         try:
@@ -82,9 +80,8 @@ def load_problem(text: str, orbit_cap: Optional[int] = None) -> Problem:
     else:
         problem = parse_catalog_spec(text)
     if orbit_cap is not None:
-        if orbit_cap < 1:
-            raise InputError(f"--orbit-cap must be positive, got {orbit_cap}")
-        problem = dataclasses.replace(problem, orbit_cap=orbit_cap)
+        problem = dataclasses.replace(
+            problem, orbit_cap=parse_int(orbit_cap, "--orbit-cap", 1))
     return problem
 
 

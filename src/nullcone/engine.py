@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .candidates import (
-    Candidate,
-    CountBound,
-    check_foot,
-    count_bound,
-    enumerate_candidates,
-)
+from .candidates import Candidate, check_foot, enumerate_candidates
 from .ratgeom import (
     InputError,
     InvariantError,
@@ -86,7 +80,7 @@ def equality_set(sub: ValidatedProblem,
     key = (sub.roots, sub.weights)
     if cache is not None and key in cache:
         return cache[key]
-    result = tuple(c.l for c in enumerate_candidates(sub) if c.bound.is_equality)
+    result = tuple(c.l for c in enumerate_candidates(sub) if c.levels.is_equality)
     if cache is not None:
         cache[key] = result
     return result
@@ -116,38 +110,6 @@ def build_tree(problem: ValidatedProblem, l: Vec,
         raise InvariantError(
             f"node {l} has {plus_children} plus children; at most one is possible")
     return SignedTree(l, children, plus_children == 0)
-
-
-def is_stratifying(problem: ValidatedProblem, l: Vec,
-                   cache: Optional[Cache] = None) -> bool:
-    return build_tree(problem, l, cache).plus
-
-
-def stratum_dimension(problem: ValidatedProblem, l: Vec) -> int:
-    """Roots on the negative side plus total multiplicity at level >= 1."""
-    return problem.lattice.levels(l).dimension
-
-
-def openness_check(problem: ValidatedProblem, l: Vec) -> bool:
-    """A stratum is open in V exactly when the counting bound is an equality."""
-    return count_bound(problem, l).is_equality
-
-
-def generic_representative(problem: ValidatedProblem,
-                           l: Vec) -> tuple[tuple[int, str], ...]:
-    """One fresh symbol per multiplicity unit over the level-1 weights.
-
-    A sum of the corresponding weight vectors with these coefficients lies in
-    the stratum of l whenever the coefficients are algebraically independent
-    over the rationals; reports carry that caveat, it is not checkable here.
-    """
-    return _symbols(problem, problem.lattice.levels(l).on)
-
-
-def _symbols(problem: ValidatedProblem,
-             indices: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
-    units = [i for i in indices for _ in range(problem.weights[i][1])]
-    return tuple((i, f"c_{k}") for k, i in enumerate(units, 1))
 
 
 @dataclass(frozen=True)
@@ -180,16 +142,25 @@ class NullconeSummary:
 
 
 def stratum_report(problem: ValidatedProblem, cand: Candidate) -> StratumReport:
-    levels = problem.lattice.levels(cand.l)
+    """The stratum of a stratifying candidate, read from its levels.
+
+    The generic representative has one fresh symbol per multiplicity unit
+    over the level-1 weights.  A sum of the corresponding weight vectors
+    with these coefficients lies in the stratum of l whenever the
+    coefficients are algebraically independent over the rationals; reports
+    carry that caveat, it is not checkable here.
+    """
+    levels = cand.levels
+    units = [i for i in levels.on for _ in range(problem.weights[i][1])]
     return StratumReport(
         l=cand.l,
         dim=levels.dimension,
-        open_in_V=CountBound.of(levels).is_equality,
+        open_in_V=levels.is_equality,
         support_v_l=levels.on,
         support_v_l_plus=tuple(sorted(levels.on + levels.above)),
         levi_root_indices=levels.roots_zero,
         parabolic_root_indices=tuple(sorted(levels.roots_zero + levels.roots_positive)),
-        generic_rep=_symbols(problem, levels.on),
+        generic_rep=tuple((i, f"c_{k}") for k, i in enumerate(units, 1)),
     )
 
 

@@ -47,6 +47,21 @@ def parse_rational(value: object) -> Q:
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
 
 
+def parse_int(value: object, what: str = "value", minimum: Optional[int] = None) -> int:
+    """Parse an integer or a decimal integer string, at least `minimum` if
+    given; `what` names the value in the error."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
 def rational_to_json(q: Q) -> object:
     """Serialize a rational as a bare int or a "p/q" string."""
     if q.denominator == 1:
@@ -55,6 +70,9 @@ def rational_to_json(q: Q) -> object:
 
 
 def parse_vector(values: Sequence[object]) -> Vec:
+    """Parse a list or tuple of rationals; a string is not a vector."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"not a vector: {values!r}")
     return tuple(parse_rational(x) for x in values)
 
 

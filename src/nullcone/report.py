@@ -9,183 +9,145 @@ is fixed so equal summaries serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Iterable
+from operator import attrgetter, itemgetter
+from typing import Any
 
 from .engine import NullconeSummary, SignedTree, StratumReport
 from .ratgeom import InputError, Vec, parse_vector, vector_to_json
 
+# ---------------------------------------------------------------------------
+# the JSON layout, written once
+#
+# A record is a tuple of fields (key, get, kind).  `get` reads the field from
+# the object the engine made.  `kind` is a record, a one-element list [kind]
+# for a list of that kind, or a check: a function of the value and where it
+# sits that returns the value's JSON form or raises InputError.  `_emit` and
+# `_parse` walk the same tables, so the two cannot drift apart.
+
+
+def _vector(value: Any, where: str) -> list:
+    try:
+        return vector_to_json(parse_vector(value))
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def _exactly(kind: type, name: str):
+    """The check that a value's type is `kind` itself, so a bool is no int."""
+    def check(value: Any, where: str) -> Any:
+        if type(value) is not kind:
+            raise InputError(f"{where} must be {name}, got {value!r}")
+        return value
+    return check
+
+
+def _sign(value: Any, where: str) -> str:
+    if value not in ("+", "-"):
+        raise InputError(f"{where} must be '+' or '-', got {value!r}")
+    return value
+
+
+_int = _exactly(int, "an integer")
+_bool = _exactly(bool, "a boolean")
+_str = _exactly(str, "a string")
+
+_TREES: list = []  # a tree node's children are tree nodes
+_TREE = (
+    ("l", attrgetter("l"), _vector),
+    ("sign", attrgetter("sign"), _sign),
+    ("children", attrgetter("children"), _TREES),
+)
+_TREES.append(_TREE)
+
+_CANDIDATE = (
+    ("l", attrgetter("candidate.l"), _vector),
+    ("M", attrgetter("candidate.member_indices"), [_int]),
+    ("stratifying", attrgetter("stratifying"), _bool),
+    ("tree", attrgetter("tree"), _TREE),
+)
+
+_GENERIC_REP_TERM = (
+    ("weight_index", itemgetter(0), _int),
+    ("symbol", itemgetter(1), _str),
+)
+
+_STRATUM = (
+    ("l", attrgetter("l"), _vector),
+    ("dim", attrgetter("dim"), _int),
+    ("open_in_V", attrgetter("open_in_V"), _bool),
+    ("support_V_l", attrgetter("support_v_l"), [_int]),
+    ("support_V_l_plus", attrgetter("support_v_l_plus"), [_int]),
+    ("levi_roots", attrgetter("levi_root_indices"), [_int]),
+    ("parabolic_roots", attrgetter("parabolic_root_indices"), [_int]),
+    ("generic_rep", attrgetter("generic_rep"), [_GENERIC_REP_TERM]),
+)
+
+_NULLCONE = (
+    ("dim", attrgetter("dim_nullcone"), _int),
+    ("equals_V", attrgetter("equals_V"), _bool),
+    ("max_components", attrgetter("max_component_indices"), [_int]),
+)
+
+_SUMMARY = (
+    ("candidates", attrgetter("decisions"), [_CANDIDATE]),
+    ("strata", attrgetter("strata"), [_STRATUM]),
+    ("nullcone", lambda summary: summary, _NULLCONE),
+)
+
+
+def _emit(kind: Any, value: Any) -> Any:
+    if isinstance(kind, list):
+        return [_emit(kind[0], item) for item in value]
+    if isinstance(kind, tuple):
+        return {key: _emit(sub, get(value)) for key, get, sub in kind}
+    return kind(value, "")
+
+
+def _parse(kind: Any, value: Any, where: str) -> Any:
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise InputError(f"{where} must be a list")
+        return [_parse(kind[0], item, where) for item in value]
+    if isinstance(kind, tuple):
+        if not isinstance(value, dict):
+            raise InputError(f"{where} must be an object")
+        for key, _, _ in kind:
+            if key not in value:
+                raise InputError(f"{where} missing key {key!r}")
+        return {key: _parse(sub, value[key], f"{where}.{key}") for key, _, sub in kind}
+    return kind(value, where)
+
 
 def tree_to_json(tree: SignedTree) -> dict[str, Any]:
-    return {
-        "l": vector_to_json(tree.l),
-        "sign": tree.sign,
-        "children": [tree_to_json(child) for child in tree.children],
-    }
+    return _emit(_TREE, tree)
 
 
 def tree_from_json(obj: Any) -> SignedTree:
-    if not isinstance(obj, dict):
-        raise InputError("tree node must be an object")
-    for key in ("l", "sign", "children"):
-        if key not in obj:
-            raise InputError(f"tree node missing key {key!r}")
-    sign = obj["sign"]
-    if sign not in ("+", "-"):
-        raise InputError(f"tree sign must be '+' or '-', got {sign!r}")
-    children = obj["children"]
-    if not isinstance(children, list):
-        raise InputError("tree children must be a list")
-    return SignedTree(parse_vector(obj["l"]),
-                      tuple(tree_from_json(c) for c in children),
-                      sign == "+")
+    return _signed_tree(_parse(_TREE, obj, "tree"))
 
 
-def _index_list(indices) -> list[int]:
-    return [int(i) for i in indices]
-
-
-def _schema_dict(candidates: Iterable[tuple[Vec, tuple[int, ...], bool, SignedTree]],
-                 strata: Iterable[StratumReport], dim_nullcone: int,
-                 equals_V: bool, max_components: tuple[int, ...]) -> dict[str, Any]:
-    """The JSON layout; each candidate is (l, member indices, stratifying, tree)."""
-    return {
-        "candidates": [{
-            "l": vector_to_json(l),
-            "M": _index_list(members),
-            "stratifying": stratifying,
-            "tree": tree_to_json(tree),
-        } for l, members, stratifying, tree in candidates],
-        "strata": [{
-            "l": vector_to_json(s.l),
-            "dim": s.dim,
-            "open_in_V": s.open_in_V,
-            "support_V_l": _index_list(s.support_v_l),
-            "support_V_l_plus": _index_list(s.support_v_l_plus),
-            "levi_roots": _index_list(s.levi_root_indices),
-            "parabolic_roots": _index_list(s.parabolic_root_indices),
-            "generic_rep": [{"weight_index": i, "symbol": sym}
-                            for i, sym in s.generic_rep],
-        } for s in strata],
-        "nullcone": {
-            "dim": dim_nullcone,
-            "equals_V": equals_V,
-            "max_components": _index_list(max_components),
-        },
-    }
+def _signed_tree(node: dict[str, Any]) -> SignedTree:
+    return SignedTree(parse_vector(node["l"]),
+                      tuple(_signed_tree(child) for child in node["children"]),
+                      node["sign"] == "+")
 
 
 def to_json_dict(summary: NullconeSummary) -> dict[str, Any]:
-    return _schema_dict(
-        ((d.candidate.l, d.candidate.member_indices, d.stratifying, d.tree)
-         for d in summary.decisions),
-        summary.strata, summary.dim_nullcone, summary.equals_V,
-        summary.max_component_indices)
+    return _emit(_SUMMARY, summary)
 
 
 def to_json_text(summary: NullconeSummary) -> str:
     return json.dumps(to_json_dict(summary), indent=2) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# parsing the schema back
-
-@dataclass(frozen=True)
-class ParsedCandidate:
-    l: Vec
-    member_indices: tuple[int, ...]
-    stratifying: bool
-    tree: SignedTree
+def from_json_dict(obj: Any) -> dict[str, Any]:
+    """The checked report: every key of the layout, in its order, each value
+    in canonical form; unknown keys are dropped.  `json.dumps(..., indent=2)`
+    of it reproduces `to_json_text` of the summary it was written from."""
+    return _parse(_SUMMARY, obj, "summary")
 
 
-@dataclass(frozen=True)
-class ParsedSummary:
-    candidates: tuple[ParsedCandidate, ...]
-    strata: tuple[StratumReport, ...]
-    dim_nullcone: int
-    equals_V: bool
-    max_component_indices: tuple[int, ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return _schema_dict(
-            ((c.l, c.member_indices, c.stratifying, c.tree) for c in self.candidates),
-            self.strata, self.dim_nullcone, self.equals_V, self.max_component_indices)
-
-
-def _need(obj: Any, key: str, where: str) -> Any:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where} must be an object")
-    if key not in obj:
-        raise InputError(f"{where} missing key {key!r}")
-    return obj[key]
-
-
-def _parse_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _parse_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise InputError(f"{where} must be a boolean, got {value!r}")
-    return value
-
-
-def _parse_indices(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise InputError(f"{where} must be a list")
-    return tuple(_parse_int(x, where) for x in value)
-
-
-def from_json_dict(obj: Any) -> ParsedSummary:
-    raw_candidates = _need(obj, "candidates", "summary")
-    raw_strata = _need(obj, "strata", "summary")
-    raw_nullcone = _need(obj, "nullcone", "summary")
-    if not isinstance(raw_candidates, list) or not isinstance(raw_strata, list):
-        raise InputError("candidates and strata must be lists")
-    candidates = []
-    for c in raw_candidates:
-        candidates.append(ParsedCandidate(
-            parse_vector(_need(c, "l", "candidate")),
-            _parse_indices(_need(c, "M", "candidate"), "candidate M"),
-            _parse_bool(_need(c, "stratifying", "candidate"), "stratifying"),
-            tree_from_json(_need(c, "tree", "candidate")),
-        ))
-    strata = []
-    for s in raw_strata:
-        raw_rep = _need(s, "generic_rep", "stratum")
-        if not isinstance(raw_rep, list):
-            raise InputError("generic_rep must be a list")
-        rep = []
-        for term in raw_rep:
-            index = _parse_int(_need(term, "weight_index", "generic_rep term"),
-                               "weight_index")
-            symbol = _need(term, "symbol", "generic_rep term")
-            if not isinstance(symbol, str):
-                raise InputError(f"symbol must be a string, got {symbol!r}")
-            rep.append((index, symbol))
-        strata.append(StratumReport(
-            parse_vector(_need(s, "l", "stratum")),
-            _parse_int(_need(s, "dim", "stratum"), "dim"),
-            _parse_bool(_need(s, "open_in_V", "stratum"), "open_in_V"),
-            _parse_indices(_need(s, "support_V_l", "stratum"), "support_V_l"),
-            _parse_indices(_need(s, "support_V_l_plus", "stratum"), "support_V_l_plus"),
-            _parse_indices(_need(s, "levi_roots", "stratum"), "levi_roots"),
-            _parse_indices(_need(s, "parabolic_roots", "stratum"), "parabolic_roots"),
-            tuple(rep),
-        ))
-    return ParsedSummary(
-        tuple(candidates),
-        tuple(strata),
-        _parse_int(_need(raw_nullcone, "dim", "nullcone"), "nullcone dim"),
-        _parse_bool(_need(raw_nullcone, "equals_V", "nullcone"), "equals_V"),
-        _parse_indices(_need(raw_nullcone, "max_components", "nullcone"),
-                       "max_components"),
-    )
-
-
-def from_json_text(text: str) -> ParsedSummary:
+def from_json_text(text: str) -> dict[str, Any]:
     try:
         obj = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
@@ -233,8 +195,9 @@ def _candidate_lines(summary: NullconeSummary, counts: bool) -> list[str]:
         lines.append("  (none)")
     for i, decision in enumerate(summary.decisions):
         cand = decision.candidate
-        detail = (f"M={list(cand.member_indices)}  roots<0: {cand.roots_negative}  "
-                  f"weights<1: {cand.weights_below}  ") if counts else ""
+        detail = (f"M={list(cand.member_indices)}  "
+                  f"roots<0: {len(cand.levels.roots_negative)}  "
+                  f"weights<1: {cand.levels.mult_below}  ") if counts else ""
         verdict = "stratifying" if decision.stratifying else "excluded"
         lines.append(f"  [{i}] l={fmt_vec(cand.l)}  {detail}{verdict}")
     return lines

@@ -25,6 +25,7 @@ from .ratgeom import (
     dot,
     gram_violations,
     is_zero_vec,
+    parse_int,
     parse_rational,
     parse_vector,
     vector_to_json,
@@ -132,6 +133,18 @@ class Levels:
     def dimension(self) -> int:
         """Negative roots plus the multiplicity at level >= 1."""
         return len(self.roots_negative) + self.mult_at_least
+
+    @property
+    def holds(self) -> bool:
+        """The counting bound: no more negative roots than the multiplicity
+        below level 1."""
+        return len(self.roots_negative) <= self.mult_below
+
+    @property
+    def is_equality(self) -> bool:
+        """The counting bound is an equality; a stratum is open in V exactly
+        when this holds for its l."""
+        return len(self.roots_negative) == self.mult_below
 
 
 @dataclass(frozen=True)
@@ -339,10 +352,6 @@ class WeightSystem:
     def total_dim(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
-    def vectors(self) -> tuple[Vec, ...]:
-        return tuple(v for v, _ in self.entries)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -513,27 +522,27 @@ def validate(problem: Problem) -> ValidatedProblem:
 def problem_from_json(data: dict) -> Problem:
     """Build a Problem from the documented JSON schema."""
     try:
-        rank = int(data["rank"])
+        rank = parse_int(data["rank"], "rank")
         gram = tuple(parse_vector(row) for row in data["gram"])
         roots = RootSystem.of(data.get("roots", []))
         weights = WeightSystem.accumulate(
-            (entry["v"], int(entry.get("mult", 1))) for entry in data["weights"])
+            (entry["v"], parse_int(entry.get("mult", 1), "mult"))
+            for entry in data["weights"])
+        weyl = data.get("weyl", {"mode": "from_roots"})
+        if not isinstance(weyl, dict):
+            raise InputError(f"weyl must be an object, got {weyl!r}")
+        generators: Optional[tuple[Matrix, ...]] = None
+        if "generators" in weyl:
+            generators = tuple(
+                tuple(parse_vector(row) for row in g) for g in weyl["generators"])
+        elif weyl.get("mode", "from_roots") != "from_roots":
+            raise InputError(f"unknown weyl mode {weyl.get('mode')!r}")
+        cap = parse_int(data.get("orbit_cap", DEFAULT_ORBIT_CAP), "orbit_cap", 1)
     except KeyError as exc:
         raise InputError(f"problem JSON is missing key {exc}") from exc
     except TypeError as exc:
         raise InputError(f"malformed problem JSON: {exc}") from exc
-    space = GramSpace(rank, gram)
-    weyl = data.get("weyl", {"mode": "from_roots"})
-    generators: Optional[tuple[Matrix, ...]]
-    if "generators" in weyl:
-        generators = tuple(
-            tuple(parse_vector(row) for row in g) for g in weyl["generators"])
-    elif weyl.get("mode", "from_roots") == "from_roots":
-        generators = None
-    else:
-        raise InputError(f"unknown weyl mode {weyl.get('mode')!r}")
-    cap = int(data.get("orbit_cap", DEFAULT_ORBIT_CAP))
-    return Problem(space, roots, weights, generators, cap)
+    return Problem(GramSpace(rank, gram), roots, weights, generators, cap)
 
 
 def problem_to_json(problem: Problem) -> dict:
@@ -567,12 +576,10 @@ _ADJOINT_TABLES: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
 }
 
 
-def _sl2_forms(degrees: Sequence[int]) -> Problem:
+def _sl2_forms(degrees: Sequence[object]) -> Problem:
     if not degrees:
         raise InputError("sl2-forms needs at least one degree")
-    degs = [int(d) for d in degrees]
-    if any(d < 0 for d in degs):
-        raise InputError(f"sl2-forms degrees must be >= 0, got {degs}")
+    degs = [parse_int(d, "sl2-forms degree", 0) for d in degrees]
     space = GramSpace(1, ((Q(1),),))
     roots = RootSystem.of([(2,), (-2,)])
     pairs = []
@@ -581,10 +588,8 @@ def _sl2_forms(degrees: Sequence[int]) -> Problem:
     return Problem(space, roots, WeightSystem.accumulate(pairs))
 
 
-def _sl3_forms(degree: int) -> Problem:
-    d = int(degree)
-    if d < 1:
-        raise InputError(f"sl3-forms degree must be >= 1, got {degree}")
+def _sl3_forms(degree: object) -> Problem:
+    d = parse_int(degree, "sl3-forms degree", 1)
     # coordinates in the basis (e1, e2) with e3 = -e1 - e2; all |ei| equal,
     # pairwise angles 2*pi/3
     space = GramSpace(2, ((Q(2), Q(-1)), (Q(-1), Q(2))))
@@ -663,11 +668,11 @@ CATALOG_NAMES = ("torus", "sl2-forms", "sl3-forms", "adjoint", "gl2-ex3",
 def catalog(name: str, params: Sequence[object] = ()) -> Problem:
     """Build a named standard instance."""
     if name == "sl2-forms":
-        return _sl2_forms([int(p) for p in params])
+        return _sl2_forms(params)
     if name == "sl3-forms":
         if len(params) != 1:
             raise InputError("sl3-forms takes exactly one degree")
-        return _sl3_forms(int(params[0]))
+        return _sl3_forms(params[0])
     if name == "adjoint":
         if len(params) != 1:
             raise InputError("adjoint takes exactly one type name")

@@ -16,12 +16,14 @@ from nullcone import (
     compare_with_naive,
     invariance_harness,
     parse_catalog_spec,
+    stratify,
+    validate,
+)
+from nullcone.oracle import (
     random_problem,
     random_torus_problem,
     rank2_non_stratifying,
     standard_transforms,
-    stratify,
-    validate,
 )
 
 

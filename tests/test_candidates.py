@@ -6,9 +6,7 @@ from fractions import Fraction as Q
 from nullcone.candidates import (
     candidate_from_subset,
     check_foot,
-    count_bound,
     enumerate_candidates,
-    saturate,
     verify_candidate,
 )
 from nullcone.oracle import random_problem
@@ -41,27 +39,30 @@ def _torus(gram, weights):
                             WeightSystem.accumulate(pairs)))
 
 
+def _levels(problem, l):
+    return problem.lattice.levels(parse_vector(l))
+
+
 class TestCountBound:
     def test_no_roots(self):
         problem = _torus([[1, 0], [0, 1]], [[1, 0], [0, 1]])
-        bound = count_bound(problem, parse_vector([1, 0]))
-        assert bound.roots_negative == 0
-        assert bound.holds
+        levels = _levels(problem, [1, 0])
+        assert levels.roots_negative == ()
+        assert levels.holds
 
     def test_adjoint_a1_half_alpha(self):
         problem = validate(catalog("adjoint", ["a1"]))
-        bound = count_bound(problem, parse_vector(["1/2"]))
-        assert bound.roots_negative == 1  # just -alpha
-        assert bound.weights_below == 2  # 0 and -alpha
-        assert bound.holds and not bound.is_equality
+        levels = _levels(problem, ["1/2"])
+        assert levels.roots_negative == (0,)  # just -alpha
+        assert levels.mult_below == 2  # 0 and -alpha
+        assert levels.holds and not levels.is_equality
 
 
 def test_saturate_picks_whole_hyperplane():
     problem = validate(catalog("gl2-ex3", [2, 1]))
     # weights sorted: (0,1), (1,0), (1,1); the first two lie on {l = 1}
-    indices = saturate(problem, parse_vector(["1/3", "1/3"]))
-    assert indices == (0, 1)
-    assert saturate(problem, parse_vector(["1/6", "1/6"])) == (2,)
+    assert _levels(problem, ["1/3", "1/3"]).on == (0, 1)
+    assert _levels(problem, ["1/6", "1/6"]).on == (2,)
 
 
 class TestCandidateFromSubset:
@@ -73,7 +74,7 @@ class TestCandidateFromSubset:
         assert cand.l == parse_vector(["1/2"])
         assert cand.member_indices == (2,)
         assert cand.perp_point == parse_vector([1])
-        assert cand.weights_at_least == 1
+        assert cand.levels.mult_at_least == 1
 
     def test_zero_perp_rejected(self):
         problem = validate(catalog("adjoint", ["a1"]))
@@ -86,7 +87,7 @@ class TestCandidateFromSubset:
         assert cand is not None
         assert cand.l == parse_vector([1, 0])
         assert cand.member_indices == (0, 1)  # (1,1) joins on {l = 1}
-        assert cand.member_indices == saturate(problem, cand.l)
+        assert cand.member_indices == problem.lattice.levels(cand.l).on
         # the saturated pair gives the same candidate, deduped downstream
         again = candidate_from_subset(problem, (0, 1))
         assert again == cand
@@ -107,9 +108,9 @@ class TestCandidateFromSubset:
             weights=((parse_vector([1]), 1),),
             generator_matrices=(),
         )
-        bound = count_bound(sub, parse_vector([1]))
-        assert bound.roots_negative == 1 and bound.weights_below == 0
-        assert not bound.holds
+        levels = _levels(sub, [1])
+        assert levels.roots_negative == (0,) and levels.mult_below == 0
+        assert not levels.holds
         assert candidate_from_subset(sub, (0,)) is None
 
 

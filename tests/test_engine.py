@@ -15,16 +15,13 @@ from nullcone.engine import (
     SignedTree,
     build_tree,
     equality_set,
-    generic_representative,
-    is_stratifying,
-    openness_check,
     restrict,
     stratify,
-    stratum_dimension,
+    stratum_report,
 )
 from nullcone.oracle import compare_with_naive, random_problem
 from nullcone.ratgeom import InputError, InvariantError, parse_vector
-from nullcone.rootdata import catalog, parse_catalog_spec, validate
+from nullcone.rootdata import IntegerLattice, catalog, parse_catalog_spec, validate
 
 from conftest import CATALOG_SPECS
 
@@ -167,7 +164,7 @@ class TestTrees:
         for spec in ("g2-adjoint", "sl3-forms:4", "gl2-ex3:2,0"):
             summary = stratify(parse_catalog_spec(spec))
             for decision in summary.decisions:
-                assert is_stratifying(summary.problem, decision.candidate.l) \
+                assert build_tree(summary.problem, decision.candidate.l).plus \
                     == decision.stratifying
 
     def test_rootless_restrictions_have_no_equality_candidates(self):
@@ -182,7 +179,7 @@ class TestTrees:
             sub = restrict(problem, node.l)
             if not sub.roots:
                 rootless += 1
-                assert not any(c.bound.is_equality
+                assert not any(c.levels.is_equality
                                for c in enumerate_candidates(sub, dedup=False))
             for child in node.children:
                 walk(sub, child)
@@ -218,35 +215,39 @@ class TestDimensions:
             ("3", "5/3"): 12,
         }
         for l, dim in expected.items():
-            assert stratum_dimension(problem, parse_vector(list(l))) == dim
+            assert problem.lattice.levels(parse_vector(list(l))).dimension == dim
 
     def test_orbit_independent(self):
         summary = stratify(parse_catalog_spec("adjoint:b2"))
         problem = summary.problem
         for stratum in summary.strata:
             for l in problem.orbit(stratum.l):
-                assert stratum_dimension(problem, l) == stratum.dim
+                assert problem.lattice.levels(l).dimension == stratum.dim
 
     def test_openness(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-        assert openness_check(problem, parse_vector([0, "1/2"]))
-        assert not openness_check(problem, parse_vector(["1/6", "1/6"]))
+        assert problem.lattice.levels(parse_vector([0, "1/2"])).is_equality
+        assert not problem.lattice.levels(parse_vector(["1/6", "1/6"])).is_equality
+
+
+def _strata_by_l(summary):
+    return {s.l: s for s in summary.strata}
 
 
 class TestGenericRepresentative:
-    def test_g2_term_counts(self):
-        problem = validate(parse_catalog_spec("g2-adjoint"))
-        single = generic_representative(problem, parse_vector(["1/2", "1/3"]))
+    def test_g2_term_counts(self, summary_of):
+        strata = _strata_by_l(summary_of("g2-adjoint"))
+        single = strata[parse_vector(["-1/2", "-1/3"])].generic_rep
         assert len(single) == 1
-        four = generic_representative(problem, parse_vector([1, "2/3"]))
+        four = strata[parse_vector([-1, "-2/3"])].generic_rep
         assert len(four) == 4
         symbols = [s for _, s in four]
         assert len(set(symbols)) == 4
 
-    def test_multiplicity_expands(self):
-        problem = validate(parse_catalog_spec("sl2-forms:2,3,3,4,5"))
-        # l = (1,): level-1 slice is the weight (1,) with multiplicity 3
-        rep = generic_representative(problem, parse_vector([1]))
+    def test_multiplicity_expands(self, summary_of):
+        strata = _strata_by_l(summary_of("sl2-forms:2,3,3,4,5"))
+        # l = (-1,): level-1 slice is the weight (-1,) with multiplicity 3
+        rep = strata[parse_vector([-1])].generic_rep
         assert len(rep) == 3
         assert len({i for i, _ in rep}) == 1
 
@@ -288,6 +289,17 @@ class TestStratify:
         monkeypatch.setattr(engine, "enumerate_candidates", moved_feet)
         with pytest.raises(InvariantError, match="not perp of the members"):
             stratify(parse_catalog_spec("adjoint:a2"))
+
+    def test_reports_reuse_the_candidates_levels(self, monkeypatch):
+        problem = validate(parse_catalog_spec("adjoint:b2"))
+        found = enumerate_candidates(problem)
+        expected = [stratum_report(problem, cand) for cand in found]
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("stratum_report ran a level pass of its own")
+
+        monkeypatch.setattr(IntegerLattice, "levels", unavailable)
+        assert [stratum_report(problem, cand) for cand in found] == expected
 
     def test_single_zero_weight_torus(self):
         summary = stratify(parse_catalog_spec("torus:0,0"))

@@ -10,6 +10,7 @@ from nullcone.ratgeom import (
     in_convex_hull,
     is_positive_definite,
     make_space,
+    parse_int,
     parse_rational,
     parse_vector,
     perp,
@@ -48,6 +49,16 @@ class TestParsing:
         for bad in ("a/b", "1/0", "", None, [1]):
             with pytest.raises(InputError):
                 parse_rational(bad)
+
+    def test_integers(self):
+        assert parse_int(3) == 3
+        assert parse_int("-4") == -4
+        assert parse_int("2", minimum=2) == 2
+        for bad in (True, 1.0, "1.5", "x", "", None, [1]):
+            with pytest.raises(InputError, match="must be an integer"):
+                parse_int(bad)
+        with pytest.raises(InputError, match="must be >= 1"):
+            parse_int(0, minimum=1)
 
     def test_json_round_trip(self):
         assert rational_to_json(Q(1, 2)) == "1/2"

@@ -34,8 +34,7 @@ class TestJsonReport:
         for spec in ("g2-adjoint", "sl2-forms:2,3", "torus:1,0|0,1|1,1"):
             summary = _summary(spec)
             text = to_json_text(summary)
-            parsed = from_json_text(text)
-            assert json.dumps(parsed.to_json_dict(), indent=2) + "\n" == text
+            assert json.dumps(from_json_text(text), indent=2) + "\n" == text
 
     def test_deterministic(self):
         one = to_json_text(_summary("adjoint:b2"))
@@ -67,6 +66,15 @@ class TestJsonReport:
         broken(lambda d: d["strata"][0].update(open_in_V=1))
         broken(lambda d: d["strata"][0]["generic_rep"][0].update(symbol=3))
         broken(lambda d: d["nullcone"].update(max_components=[0.5]))
+
+    def test_vector_must_be_a_list(self):
+        good = to_json_dict(_summary("gl2-ex3:2,1"))
+        for bad_l in ("12", 12, {"1": 2}):
+            for record in ("candidates", "strata"):
+                data = json.loads(json.dumps(good))
+                data[record][0]["l"] = bad_l
+                with pytest.raises(InputError, match="not a vector"):
+                    from_json_text(json.dumps(data))
 
     def test_float_literal_rejected(self):
         with pytest.raises(InputError):
@@ -173,12 +181,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[-] l=(1/3, 1/3)" in out
 
-    def test_fast_flag_is_a_no_op(self, capsys):
-        for argv in (["tree", "adjoint:b2"], ["stratify", "g2-adjoint"]):
-            assert main(argv) == 0
-            plain = capsys.readouterr().out
-            assert main(argv + ["--fast"]) == 0
-            assert capsys.readouterr().out == plain
+    def test_fast_flag_rejected(self, capsys):
+        assert main(["stratify", "g2-adjoint", "--fast"]) == 1
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
 
     def test_catalog_list(self, capsys):
         assert main(["catalog-list"]) == 0
@@ -228,9 +233,29 @@ class TestCli:
         assert main(["frobnicate", "adjoint:a2"]) == 1  # bad command
         assert main(["stratify", "no/such/file.json"]) == 1
         assert main(["stratify", "adjoint:a2", "--orbit-cap", "0"]) == 1
+        assert main(["stratify", "adjoint:a2", "--orbit-cap", "x"]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text('{"rank": 1')
         assert main(["stratify", str(bad)]) == 1
+
+    @pytest.mark.parametrize("spec", ["sl2-forms:x", "sl3-forms:1.5"])
+    def test_malformed_catalog_integer(self, spec, capsys):
+        assert main(["stratify", spec]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rank", "x"), ("mult", "x"), ("orbit_cap", "x"), ("weyl", []),
+        ("orbit_cap", 0)], ids=["rank", "mult", "orbit_cap", "weyl", "orbit_cap_zero"])
+    def test_malformed_problem_file(self, key, value, capsys, tmp_path):
+        data = problem_to_json(catalog("adjoint", ["a2"]))
+        if key == "mult":
+            data["weights"][0]["mult"] = value
+        else:
+            data[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["stratify", str(path)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_validation_error_lists_violations(self, capsys, tmp_path):
         problem = catalog("adjoint", ["a2"])

@@ -182,6 +182,13 @@ class TestJson:
         with pytest.raises(InputError):
             problem_from_json(data)
 
+    def test_string_vector_rejected(self):
+        for bad in ("12", 12):
+            data = problem_to_json(_valid_problem())
+            data["weights"][0]["v"] = bad
+            with pytest.raises(InputError, match="not a vector"):
+                problem_from_json(data)
+
 
 class TestCatalog:
     def test_sl2_forms_weights(self):
