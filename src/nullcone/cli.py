@@ -31,6 +31,7 @@ from .report import (
     tree_text,
 )
 from .rootdata import (
+    CATALOG,
     Problem,
     ValidationError,
     parse_catalog_spec,
@@ -85,21 +86,9 @@ def load_problem(text: str, orbit_cap: Union[int, str, None] = None) -> Problem:
     return problem
 
 
-_CATALOG_HELP = (
-    ("torus", "torus:1,0|0,1|1,1", "torus action with the listed weights"),
-    ("sl2-forms", "sl2-forms:2,3,3,4,5", "sum of binary forms of the listed degrees"),
-    ("sl3-forms", "sl3-forms:4", "ternary forms of the given degree"),
-    ("adjoint", "adjoint:b2", "adjoint representation (a1, a2, b2 or g2)"),
-    ("g2-adjoint", "g2-adjoint", "shorthand for adjoint:g2"),
-    ("gl2-ex3", "gl2-ex3:2,1", "three-weight rank-2 family with gram [[a,b],[b,a]]"),
-    ("direct-sum", "direct-sum:sl2-forms:2+sl2-forms:3",
-     "outer direct sum of two specs"),
-)
-
-
 def _catalog_list() -> int:
-    width = max(len(example) for _, example, _ in _CATALOG_HELP)
-    for name, example, blurb in _CATALOG_HELP:
+    width = max(len(row[1]) for row in CATALOG)
+    for _, example, blurb, _, _ in CATALOG:
         print(f"{example.ljust(width)}  {blurb}")
     return 0
 

@@ -128,7 +128,11 @@ class StratumReport:
 class CandidateDecision:
     candidate: Candidate
     tree: SignedTree
-    stratifying: bool
+
+    @property
+    def stratifying(self) -> bool:
+        """A candidate stratifies exactly when its tree's root is plus."""
+        return self.tree.plus
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     for cand in enumerate_candidates(problem, dedup=dedup):
         check_foot(problem, cand)
         tree = build_tree(problem, cand.l, cache)
-        decisions.append(CandidateDecision(cand, tree, tree.plus))
+        decisions.append(CandidateDecision(cand, tree))
     reports = [stratum_report(problem, d.candidate)
                for d in decisions if d.stratifying]
     strata = tuple(sorted(reports, key=lambda s: (-s.dim, s.l)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, reduce
 from typing import Sequence, Union
 
 from .candidates import enumerate_candidates
@@ -17,23 +18,24 @@ from .engine import stratify
 from .ratgeom import (
     GramSpace,
     InputError,
+    Matrix,
     Q,
     ResourceError,
     Vec,
     in_convex_hull,
     is_zero_vec,
     parse_rational,
-    parse_vector,
     perp,
     vscale,
     zero_vec,
 )
 from .rootdata import (
-    _ADJOINT_TABLES,
     Problem,
     RootSystem,
     ValidatedProblem,
     WeightSystem,
+    catalog,
+    direct_sum,
     matvec,
     orbit_closure,
     reflection_generators,
@@ -199,46 +201,19 @@ def invariance_harness(problem: Problem,
 # ---------------------------------------------------------------------------
 # seeded random instances
 
-# the catalog's adjoint types (gram rows, positive roots) plus a3
-_SIMPLE_BLOCKS = {
-    **_ADJOINT_TABLES,
-    "a3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
-           ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1))),
-}
-
-_TEMPLATES: dict[str, tuple[str, ...]] = {
-    # template -> simple blocks composed into a product
-    "a1": ("a1",),
-    "a1+a1": ("a1", "a1"),
-    "a2": ("a2",),
-    "b2": ("b2",),
-    "g2": ("g2",),
-    "a3": ("a3",),
-    "a2+a1": ("a2", "a1"),
-    "a1+a1+a1": ("a1", "a1", "a1"),
-}
+# the sums of adjoint types random instances are drawn from, sorted
+_TEMPLATES = ("a1", "a1+a1", "a1+a1+a1", "a2", "a2+a1", "a3", "b2", "g2")
 
 _RANK2_TEMPLATES = ("a1+a1", "a2", "b2", "g2")
 
 
-def _compose_blocks(names: Sequence[str]) -> tuple[GramSpace, tuple[Vec, ...]]:
-    grams = [_SIMPLE_BLOCKS[n][0] for n in names]
-    ranks = [len(g) for g in grams]
-    total = sum(ranks)
-    rows: list[Vec] = []
-    offset = 0
-    for gram, rank in zip(grams, ranks):
-        for row in gram:
-            rows.append(zero_vec(offset) + parse_vector(row) + zero_vec(total - offset - rank))
-        offset += rank
-    positive: list[Vec] = []
-    offset = 0
-    for (gram, pos), rank in zip((_SIMPLE_BLOCKS[n] for n in names), ranks):
-        for root in pos:
-            positive.append(zero_vec(offset) + parse_vector(root)
-                            + zero_vec(total - offset - rank))
-        offset += rank
-    return GramSpace(total, tuple(rows)), tuple(positive)
+@cache
+def _template(name: str) -> tuple[GramSpace, tuple[Vec, ...], tuple[Matrix, ...]]:
+    """The form, roots and root reflections of a "+"-joined sum of adjoint
+    types.  A reflection does not change when the form is scaled."""
+    problem = reduce(direct_sum, (catalog("adjoint", [t]) for t in name.split("+")))
+    roots = problem.roots.roots
+    return problem.space, roots, reflection_generators(problem.space, roots)
 
 
 def random_gram(rng: random.Random, rank: int) -> tuple[Vec, ...]:
@@ -277,14 +252,12 @@ def random_problem(rng: random.Random, max_distinct: int = 12,
         return _force_rank(random_torus_problem(rng, max_rank=2), 2, rng)
     if not rank2_only and rng.random() < 0.2:
         return random_torus_problem(rng)
-    name = rng.choice(_RANK2_TEMPLATES if rank2_only else sorted(_TEMPLATES))
-    space, positive = _compose_blocks(_TEMPLATES[name])
+    space, roots, reflections = _template(
+        rng.choice(_RANK2_TEMPLATES if rank2_only else _TEMPLATES))
     scale = rng.choice([Q(1), Q(2), Q(1, 2), Q(3)])
     if scale != 1:
         space = GramSpace(space.rank,
                           tuple(tuple(scale * x for x in row) for row in space.gram))
-    roots = tuple(positive) + tuple(vscale(Q(-1), r) for r in positive)
-    reflections = reflection_generators(space, positive)
     pairs: list[tuple[Vec, int]] = []
     covered: set[Vec] = set()
     for _ in range(rng.randint(1, 3)):
@@ -299,7 +272,7 @@ def random_problem(rng: random.Random, max_distinct: int = 12,
         pairs.extend((v, mult) for v in orbit)
     if not pairs:
         pairs = [(zero_vec(space.rank), 1)]
-    return Problem(space, RootSystem.of(roots), WeightSystem.accumulate(pairs))
+    return Problem(space, RootSystem(roots), WeightSystem.accumulate(pairs))
 
 
 def _force_rank(problem: Problem, rank: int, rng: random.Random) -> Problem:

@@ -7,6 +7,7 @@ no tolerances.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -32,7 +33,11 @@ class InvariantError(RuntimeError):
 # rationals and vectors
 
 def parse_rational(value: object) -> Q:
-    """Parse an integer or a "p/q" string into an exact rational."""
+    """Parse an integer or a "p/q" string into an exact rational.
+
+    A string is [-]p or [-]p/q in ASCII digits: no sign on q, no spaces, no
+    decimal point, exponent or underscore.
+    """
     if isinstance(value, bool):
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -40,21 +45,20 @@ def parse_rational(value: object) -> Q:
     if isinstance(value, Q):
         return value
     if isinstance(value, str):
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            raise InputError(f"not a rational: {value!r} (write p or \"p/q\")")
         try:
             return Q(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise InputError(f"not a rational: {value!r}") from exc
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
 
 
 def parse_int(value: object, what: str = "value", minimum: Optional[int] = None) -> int:
-    """Parse an integer or a decimal integer string, at least `minimum` if
-    given; `what` names the value in the error."""
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
+    """Parse an integer or a string [-]digits, at least `minimum` if given;
+    `what` names the value in the error."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -313,7 +317,9 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     normal = [[space.inner(diffs[i], diffs[j]) for j in range(k)] for i in range(k)]
     rhs = [-space.inner(diffs[i], base) for i in range(k)]
     coeffs = solve_linear_exact(normal, rhs)
-    assert coeffs is not None  # Gram matrix of independent vectors is invertible
+    if coeffs is None:
+        # the Gram matrix of independent differences is invertible
+        raise InvariantError(f"singular normal equations in perp of {list(points)}")
     foot = base
     for c, d in zip(coeffs, diffs):
         if c:
@@ -364,7 +370,7 @@ def _phase1_feasible(rows: list[list[Q]], rhs: list[Q]) -> bool:
                         ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
         if leave is None:
-            raise RuntimeError("phase-1 simplex: unbounded objective")
+            raise InvariantError("phase-1 simplex: unbounded objective")
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
         for i in range(m):

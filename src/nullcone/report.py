@@ -51,6 +51,13 @@ _int = _exactly(int, "an integer")
 _bool = _exactly(bool, "a boolean")
 _str = _exactly(str, "a string")
 
+
+def _index(value: Any, where: str) -> int:
+    if _int(value, where) < 0:
+        raise InputError(f"{where} must be an index (>= 0), got {value}")
+    return value
+
+
 _TREES: list = []  # a tree node's children are tree nodes
 _TREE = (
     ("l", attrgetter("l"), _vector),
@@ -61,13 +68,13 @@ _TREES.append(_TREE)
 
 _CANDIDATE = (
     ("l", attrgetter("candidate.l"), _vector),
-    ("M", attrgetter("candidate.member_indices"), [_int]),
+    ("M", attrgetter("candidate.member_indices"), [_index]),
     ("stratifying", attrgetter("stratifying"), _bool),
     ("tree", attrgetter("tree"), _TREE),
 )
 
 _GENERIC_REP_TERM = (
-    ("weight_index", itemgetter(0), _int),
+    ("weight_index", itemgetter(0), _index),
     ("symbol", itemgetter(1), _str),
 )
 
@@ -75,17 +82,17 @@ _STRATUM = (
     ("l", attrgetter("l"), _vector),
     ("dim", attrgetter("dim"), _int),
     ("open_in_V", attrgetter("open_in_V"), _bool),
-    ("support_V_l", attrgetter("support_v_l"), [_int]),
-    ("support_V_l_plus", attrgetter("support_v_l_plus"), [_int]),
-    ("levi_roots", attrgetter("levi_root_indices"), [_int]),
-    ("parabolic_roots", attrgetter("parabolic_root_indices"), [_int]),
+    ("support_V_l", attrgetter("support_v_l"), [_index]),
+    ("support_V_l_plus", attrgetter("support_v_l_plus"), [_index]),
+    ("levi_roots", attrgetter("levi_root_indices"), [_index]),
+    ("parabolic_roots", attrgetter("parabolic_root_indices"), [_index]),
     ("generic_rep", attrgetter("generic_rep"), [_GENERIC_REP_TERM]),
 )
 
 _NULLCONE = (
     ("dim", attrgetter("dim_nullcone"), _int),
     ("equals_V", attrgetter("equals_V"), _bool),
-    ("max_components", attrgetter("max_component_indices"), [_int]),
+    ("max_components", attrgetter("max_component_indices"), [_index]),
 )
 
 _SUMMARY = (
@@ -143,8 +150,19 @@ def to_json_text(summary: NullconeSummary) -> str:
 def from_json_dict(obj: Any) -> dict[str, Any]:
     """The checked report: every key of the layout, in its order, each value
     in canonical form; unknown keys are dropped.  `json.dumps(..., indent=2)`
-    of it reproduces `to_json_text` of the summary it was written from."""
-    return _parse(_SUMMARY, obj, "summary")
+    of it reproduces `to_json_text` of the summary it was written from.
+    Across fields, each candidate's verdict must match the sign of its
+    tree's root, and each top-stratum index must point into the strata."""
+    report = _parse(_SUMMARY, obj, "summary")
+    for i, cand in enumerate(report["candidates"]):
+        if cand["stratifying"] != (cand["tree"]["sign"] == "+"):
+            raise InputError(f"summary.candidates[{i}]: stratifying disagrees "
+                             "with its tree's sign")
+    count = len(report["strata"])
+    if any(i >= count for i in report["nullcone"]["max_components"]):
+        raise InputError("summary.nullcone.max_components: an index is outside "
+                         f"the {count} strata")
+    return report
 
 
 def from_json_text(text: str) -> dict[str, Any]:

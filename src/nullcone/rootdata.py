@@ -9,8 +9,9 @@ downstream reports can refer to stable indices.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -23,7 +24,6 @@ from .ratgeom import (
     ResourceError,
     Vec,
     dot,
-    gram_violations,
     is_zero_vec,
     parse_int,
     parse_rational,
@@ -348,10 +348,6 @@ class WeightSystem:
             acc[vec] = acc.get(vec, 0) + int(mult)
         return WeightSystem(tuple(sorted(acc.items())))
 
-    @property
-    def total_dim(self) -> int:
-        return sum(m for _, m in self.entries)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -428,7 +424,6 @@ def problem_violations(problem: Problem) -> list[str]:
     out: list[str] = []
     space = problem.space
     rank = space.rank
-    out.extend(gram_violations(space.gram))
 
     roots = problem.roots.roots
     root_set = set(roots)
@@ -566,17 +561,43 @@ def problem_to_json(problem: Problem) -> dict:
 # ---------------------------------------------------------------------------
 # catalog of standard instances
 
-_ADJOINT_TABLES: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]] = {
-    # type -> (gram rows, positive roots in the simple-root basis)
-    "a1": (((2,),), ((1,),)),
-    "a2": (((2, -1), (-1, 2)), ((1, 0), (0, 1), (1, 1))),
-    "b2": (((2, -1), (-1, 1)), ((1, 0), (0, 1), (1, 1), (1, 2))),
-    "g2": (((2, -3), (-3, 6)),
-           ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))),
-}
+_ADJOINT_TYPES = "a1-a8, b2-b8, c3-c8, d4-d8, f4 or g2"
+_ADJOINT_TYPE = re.compile(r"a[1-8]|b[2-8]|c[3-8]|d[4-8]|f4|g2")
 
 
-def _sl2_forms(degrees: Sequence[object]) -> Problem:
+@cache
+def root_system(type_name: str) -> tuple[GramSpace, tuple[Vec, ...]]:
+    """The form and the sorted roots of a Cartan type, in the simple-root basis.
+
+    The form is the symmetrized Cartan matrix with integer entries: roots
+    have norm 2 in types a and d, b_n's long and short roots 2 and 1, c_n's
+    and f4's 2 and 4, and g2's 2 and 6.  The roots are the Weyl orbits of
+    the simple roots.  The rank stops at 8, so a catalog spec cannot ask
+    for an unbounded table.
+    """
+    key = type_name.lower()
+    if not _ADJOINT_TYPE.fullmatch(key):
+        raise InputError(
+            f"unknown adjoint type {type_name!r}; choose from {_ADJOINT_TYPES}")
+    n = int(key[1])
+    norms = {"a": [2] * n, "b": [2] * (n - 1) + [1], "c": [2] * (n - 1) + [4],
+             "d": [2] * n, "f": [4, 4, 2, 2], "g": [2, 6]}[key[0]]
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if key[0] == "d":
+        bonds[-1] = (n - 3, n - 1)
+    gram = [[Q(norm if i == j else 0) for j in range(n)] for i, norm in enumerate(norms)]
+    for i, j in bonds:
+        # a bond's inner product is minus half the longer norm
+        gram[i][j] = gram[j][i] = Q(-max(norms[i], norms[j]), 2)
+    space = GramSpace(n, tuple(map(tuple, gram)))
+    simple = [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
+    reflections = reflection_generators(space, simple)
+    roots = {alpha for s in simple
+             for alpha in orbit_closure(reflections, s, DEFAULT_ORBIT_CAP)}
+    return space, tuple(sorted(roots))
+
+
+def _sl2_forms(*degrees: object) -> Problem:
     if not degrees:
         raise InputError("sl2-forms needs at least one degree")
     degs = [parse_int(d, "sl2-forms degree", 0) for d in degrees]
@@ -604,19 +625,9 @@ def _sl3_forms(degree: object) -> Problem:
 
 
 def _adjoint(type_name: str) -> Problem:
-    key = str(type_name).lower()
-    if key not in _ADJOINT_TABLES:
-        raise InputError(
-            f"unknown adjoint type {type_name!r}; choose from {sorted(_ADJOINT_TABLES)}")
-    gram_rows, positive = _ADJOINT_TABLES[key]
-    rank = len(gram_rows)
-    space = GramSpace(rank, tuple(parse_vector(r) for r in gram_rows))
-    all_roots = [tuple(Q(x) for x in r) for r in positive]
-    all_roots += [vscale(Q(-1), r) for r in all_roots]
-    roots = RootSystem.of(all_roots)
-    pairs = [(r, 1) for r in all_roots]
-    pairs.append((zero_vec(rank), rank))
-    return Problem(space, roots, WeightSystem.accumulate(pairs))
+    space, roots = root_system(str(type_name))
+    pairs = [(alpha, 1) for alpha in roots] + [(zero_vec(space.rank), space.rank)]
+    return Problem(space, RootSystem(roots), WeightSystem.accumulate(pairs))
 
 
 def _gl2_ex3(a: object, b: object) -> Problem:
@@ -630,7 +641,7 @@ def _gl2_ex3(a: object, b: object) -> Problem:
     return Problem(space, roots, weights)
 
 
-def _torus(vectors: Sequence[Sequence[object]]) -> Problem:
+def _torus(*vectors: Sequence[object]) -> Problem:
     if not vectors:
         raise InputError("torus needs at least one weight vector")
     vecs = [parse_vector(v) for v in vectors]
@@ -646,6 +657,8 @@ def _torus(vectors: Sequence[Sequence[object]]) -> Problem:
 
 def direct_sum(p1: Problem, p2: Problem) -> Problem:
     """Outer direct sum: product group acting on the sum of the two modules."""
+    if not (isinstance(p1, Problem) and isinstance(p2, Problem)):
+        raise InputError("direct-sum takes two component problems")
     if p1.weyl_generators is not None or p2.weyl_generators is not None:
         raise InputError("direct-sum supports from_roots instances only")
     r1, r2 = p1.space.rank, p2.space.rank
@@ -661,37 +674,32 @@ def direct_sum(p1: Problem, p2: Problem) -> Problem:
                    orbit_cap=max(p1.orbit_cap, p2.orbit_cap))
 
 
-CATALOG_NAMES = ("torus", "sl2-forms", "sl3-forms", "adjoint", "gl2-ex3",
-                 "g2-adjoint", "direct-sum")
+# each catalog name with an example spec, a description, its builder and its
+# number of parameters (None: any); `nullcone catalog-list` prints the rows
+CATALOG = (
+    ("torus", "torus:1,0|0,1|1,1", "torus action with the listed weights", _torus, None),
+    ("sl2-forms", "sl2-forms:2,3,3,4,5", "sum of binary forms of the listed degrees",
+     _sl2_forms, None),
+    ("sl3-forms", "sl3-forms:4", "ternary forms of the given degree", _sl3_forms, 1),
+    ("adjoint", "adjoint:b2", f"adjoint representation ({_ADJOINT_TYPES})", _adjoint, 1),
+    ("g2-adjoint", "g2-adjoint", "shorthand for adjoint:g2", lambda: _adjoint("g2"), 0),
+    ("gl2-ex3", "gl2-ex3:2,1", "three-weight rank-2 family with gram [[a,b],[b,a]]",
+     _gl2_ex3, 2),
+    ("direct-sum", "direct-sum:sl2-forms:2+sl2-forms:3", "outer direct sum of two specs",
+     direct_sum, 2),
+)
 
 
 def catalog(name: str, params: Sequence[object] = ()) -> Problem:
     """Build a named standard instance."""
-    if name == "sl2-forms":
-        return _sl2_forms(params)
-    if name == "sl3-forms":
-        if len(params) != 1:
-            raise InputError("sl3-forms takes exactly one degree")
-        return _sl3_forms(params[0])
-    if name == "adjoint":
-        if len(params) != 1:
-            raise InputError("adjoint takes exactly one type name")
-        return _adjoint(str(params[0]))
-    if name == "gl2-ex3":
-        if len(params) != 2:
-            raise InputError("gl2-ex3 takes exactly two parameters a, b")
-        return _gl2_ex3(params[0], params[1])
-    if name == "g2-adjoint":
-        if params:
-            raise InputError("g2-adjoint takes no parameters")
-        return _adjoint("g2")
-    if name == "torus":
-        return _torus(list(params))
-    if name == "direct-sum":
-        if len(params) != 2 or not all(isinstance(p, Problem) for p in params):
-            raise InputError("direct-sum takes exactly two component problems")
-        return direct_sum(params[0], params[1])
-    raise InputError(f"unknown catalog name {name!r}; choose from {CATALOG_NAMES}")
+    for entry, _, _, build, arity in CATALOG:
+        if entry == name:
+            if arity is not None and len(params) != arity:
+                raise InputError(
+                    f"{name} takes exactly {arity} parameter(s), got {len(params)}")
+            return build(*params)
+    raise InputError(f"unknown catalog name {name!r}; "
+                     f"choose from {[row[0] for row in CATALOG]}")
 
 
 def parse_catalog_spec(text: str) -> Problem:
@@ -710,7 +718,7 @@ def parse_catalog_spec(text: str) -> Problem:
         return catalog("direct-sum",
                        [parse_catalog_spec(parts[0]), parse_catalog_spec(parts[1])])
     if name == "torus":
-        vectors = [[tok for tok in group.split(",") if tok != ""]
+        vectors = [[tok.strip() for tok in group.split(",") if tok.strip() != ""]
                    for group in arg.split("|")]
         return catalog("torus", vectors)
     args = [tok.strip() for tok in arg.split(",") if tok.strip() != ""]

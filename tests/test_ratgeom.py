@@ -60,6 +60,18 @@ class TestParsing:
         with pytest.raises(InputError, match="must be >= 1"):
             parse_int(0, minimum=1)
 
+    def test_loose_string_forms_rejected(self):
+        # Fraction and int read these too; a problem file may only use
+        # [-]p and [-]p/q
+        for bad in ("0.5", "1e3", "1_0", " 4 ", "+1", "1/-2", "1 / 2", "\u0664"):
+            with pytest.raises(InputError, match="not a rational"):
+                parse_rational(bad)
+        for bad in ("1_0", " 4 ", "+4", "1e3", "\u0664"):
+            with pytest.raises(InputError, match="must be an integer"):
+                parse_int(bad)
+        assert parse_rational("-03/4") == Q(-3, 4)
+        assert parse_int("-0") == 0
+
     def test_json_round_trip(self):
         assert rational_to_json(Q(1, 2)) == "1/2"
         assert rational_to_json(Q(-4)) == -4

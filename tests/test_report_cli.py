@@ -67,6 +67,31 @@ class TestJsonReport:
         broken(lambda d: d["strata"][0]["generic_rep"][0].update(symbol=3))
         broken(lambda d: d["nullcone"].update(max_components=[0.5]))
 
+    def test_fields_checked_against_each_other(self):
+        good = to_json_dict(_summary("gl2-ex3:2,1"))
+        assert from_json_dict(good) == good
+
+        def broken(mutate, message):
+            data = json.loads(json.dumps(good))
+            mutate(data)
+            with pytest.raises(InputError, match=message):
+                from_json_dict(data)
+
+        def flip(d):
+            d["candidates"][0]["stratifying"] = not d["candidates"][0]["stratifying"]
+
+        broken(flip, "stratifying disagrees with its tree.s sign")
+        for index in (2, 99):
+            broken(lambda d: d["nullcone"].update(max_components=[index]),
+                   "outside the 2 strata")
+        broken(lambda d: d["strata"][0].update(support_V_l=[-5]), "must be an index")
+        for key in ("support_V_l_plus", "levi_roots", "parabolic_roots"):
+            broken(lambda d: d["strata"][0].update({key: [-1]}), "must be an index")
+        broken(lambda d: d["candidates"][0].update(M=[-1]), "must be an index")
+        broken(lambda d: d["nullcone"].update(max_components=[-1]), "must be an index")
+        broken(lambda d: d["strata"][0]["generic_rep"][0].update(weight_index=-1),
+               "must be an index")
+
     def test_vector_must_be_a_list(self):
         good = to_json_dict(_summary("gl2-ex3:2,1"))
         for bad_l in ("12", 12, {"1": 2}):
@@ -256,6 +281,15 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["stratify", str(path)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.5", "1e3", "1_0", " 1 "])
+    def test_loose_rational_string_in_problem_file(self, value, capsys, tmp_path):
+        data = problem_to_json(catalog("torus", [[1, 0]]))
+        data["weights"][0]["v"] = [value, 0]
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(data))
+        assert main(["stratify", str(path)]) == 1
+        assert "not a rational" in capsys.readouterr().err
 
     def test_validation_error_lists_violations(self, capsys, tmp_path):
         problem = catalog("adjoint", ["a2"])

@@ -241,6 +241,9 @@ class TestCatalog:
         assert problem.rank == 2
         assert len(problem.roots) == 0
         assert len(problem.weights) == 3
+        # spaces around a spec's numbers are the spec's, not the rationals'
+        assert parse_catalog_spec("torus: 1, 0|0 ,1|1,1 ") == parse_catalog_spec(
+            "torus:1,0|0,1|1,1")
 
     def test_bad_specs(self):
         for text in ("direct-sum:sl2-forms:2", "sl3-forms:1,2", "adjoint:",
