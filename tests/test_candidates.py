@@ -2,13 +2,16 @@ import dataclasses
 import random
 import pytest
 from fractions import Fraction as Q
+from pathlib import Path
 
+from nullcone import candidates
 from nullcone.candidates import (
     candidate_from_subset,
     check_foot,
     enumerate_candidates,
     verify_candidate,
 )
+from nullcone.cli import load_problem
 from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
     InvariantError,
@@ -31,6 +34,8 @@ from nullcone.rootdata import (
 )
 
 from conftest import CATALOG_SPECS
+
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
 
 def _torus(gram, weights):
@@ -211,3 +216,30 @@ def test_subset_foot_is_member_foot():
             assert perp(space, members) == foot
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("source, counts", [
+    ("qubits3.json", (92, 35, 34, 8)),
+    ("qubits4.json", (2416, 353, 352, 34)),
+    ("sl3-forms:6", (406, 175, 174, 32)),
+])
+def test_root_level_work_counts(monkeypatch, source, counts):
+    """The root-level enumeration's work, as (subsets tried, distinct feet,
+    accepted distinct l, kept after dedup).  The counts are exact, so they
+    gate a change to the subset scan without timing noise: a scan that
+    visits fewer subsets may move the first column only."""
+    path = BENCH_PROBLEMS / source
+    problem = validate(load_problem(str(path) if path.exists() else source))
+    memos = []
+    original = candidates.candidate_from_subset
+
+    def counting(problem, item, tried=None):
+        memos.append(tried)
+        return original(problem, item, tried)
+
+    monkeypatch.setattr(candidates, "candidate_from_subset", counting)
+    kept = candidates.enumerate_candidates(problem)
+    memo = memos[0]
+    assert all(tried is memo for tried in memos)
+    accepted = sum(cand is not None for cand in memo.values())
+    assert (len(memos), len(memo), accepted, len(kept)) == counts
