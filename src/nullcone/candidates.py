@@ -9,7 +9,9 @@ Enumeration scans affinely independent weight subsets of size up to the
 effective rank.  Any saturated weight set lives in an affine hyperplane, so
 it has an affinely independent spanning subset within that size bound and
 the scan cannot miss it; the brute-force oracle in `oracle` double-checks
-this on every tested instance.
+this on every tested instance.  `IntegerLattice.subset_feet` yields each
+subset with its foot, updated from its prefix's foot by one fraction-free
+projection, and `candidate_from_subset` takes that foot.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
@@ -24,20 +26,19 @@ independent check `verify_candidate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .ratgeom import (
     InvariantError,
     Q,
     ResourceError,
     Vec,
-    affinely_independent_subsets,
     in_convex_hull,
     is_zero_vec,
     perp,
     vscale,
 )
-from .rootdata import IntVec, Levels, ValidatedProblem
+from .rootdata import Foot, Levels, ValidatedProblem
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,22 @@ class Candidate:
         return self.levels.on
 
 
-def candidate_from_subset(problem: ValidatedProblem, subset: Sequence[int],
-                          tried: Optional[dict[tuple[IntVec, int], Optional[Candidate]]] = None
+def candidate_from_subset(problem: ValidatedProblem, foot: Foot,
+                          tried: Optional[dict[Foot, Optional[Candidate]]] = None
                           ) -> Optional[Candidate]:
-    """Build the candidate generated by a weight subset, or None.
+    """Build the candidate generated by a weight subset from its foot, or None.
 
+    `foot` is the subset's foot as `IntegerLattice.subset_feet` yields it.
     Rejections: the affine hull passes through the origin; the counting
     bound fails; the foot leaves the convex hull of the saturated set.  The
     foot is the foot of the saturated set too (see the module docstring),
     so it is not recomputed.  The foot f and l = f / |f|^2 determine each
-    other, so `tried` records the result for each foot (as integers) and
-    answers repeats from it; l is built only for a new foot.
+    other, so `tried` records the result for each foot and answers repeats
+    from it; l is built only for a new foot.
     """
-    lattice = problem.lattice
-    foot = lattice.foot(subset)
     if tried is not None and foot in tried:
         return tried[foot]
+    lattice = problem.lattice
     point, den = foot
     result = None
     if any(point):
@@ -90,11 +91,10 @@ def enumerate_candidates(problem: ValidatedProblem,
     lexicographically minimal orbit member represents each group.
     """
     found: dict[Vec, Candidate] = {}
-    tried: dict[tuple[IntVec, int], Optional[Candidate]] = {}
+    tried: dict[Foot, Optional[Candidate]] = {}
     if problem.weights and problem.effective_rank >= 1:
-        for subset in affinely_independent_subsets(problem.lattice.weights,
-                                                   problem.effective_rank):
-            cand = candidate_from_subset(problem, subset, tried)
+        for _, foot in problem.lattice.subset_feet(problem.effective_rank):
+            cand = candidate_from_subset(problem, foot, tried)
             if cand is not None and cand.l not in found:
                 found[cand.l] = cand
     if not dedup:

@@ -74,9 +74,11 @@ def load_problem(text: str, orbit_cap: Union[int, str, None] = None) -> Problem:
     path = Path(text)
     if path.exists():
         try:
-            data = json.loads(path.read_text(), parse_float=_reject_float)
+            data = json.loads(path.read_text(encoding="utf-8"), parse_float=_reject_float)
         except json.JSONDecodeError as exc:
             raise InputError(f"{text}: invalid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"{text}: {getattr(exc, 'strerror', None) or exc}") from exc
         problem = problem_from_json(data)
     else:
         problem = parse_catalog_spec(text)
@@ -147,10 +149,13 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     sys.stdout.write(to_text(summary))
-    if args.json_path:
-        Path(args.json_path).write_text(to_json_text(summary))
-    if args.svg_path:
-        Path(args.svg_path).write_text(render_svg(summary))
+    for path, render in ((args.json_path, to_json_text), (args.svg_path, render_svg)):
+        if path:
+            text = render(summary)
+            try:
+                Path(path).write_text(text)
+            except OSError as exc:
+                raise InputError(f"{path}: {exc.strerror or exc}") from exc
     if args.verify:
         lines, ok = _run_verification(problem, dedup)
         for line in lines:

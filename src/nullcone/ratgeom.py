@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 Q = Fraction
 Vec = tuple[Q, ...]
@@ -238,10 +238,8 @@ EchelonRows = list[tuple[int, Sequence]]
 def echelon_extend(rows: EchelonRows, v: Sequence) -> Optional[EchelonRows]:
     """Add v to an independent family in echelon form; None if v is dependent.
 
-    Fraction-free: v is reduced against each row by w -> p w - w[piv] row,
-    where p = row[piv] is the row's pivot entry.  No division occurs, so
-    integer vectors stay integers, and Fraction vectors get the same
-    verdicts as their integer multiples.
+    v is reduced against each row by w -> p w - w[piv] row, where
+    p = row[piv] is the row's pivot entry.
     """
     w = v
     for piv, row in rows:
@@ -253,37 +251,6 @@ def echelon_extend(rows: EchelonRows, v: Sequence) -> Optional[EchelonRows]:
     if piv is None:
         return None
     return rows + [(piv, w)]
-
-
-def affinely_independent_subsets(points: Sequence[Sequence],
-                                 max_size: int) -> Iterator[tuple[int, ...]]:
-    """Index subsets of affinely independent points, in lexicographic order.
-
-    The points may be Fraction or int vectors; scaling every point by one
-    positive number gives the same subsets.  A subset stays affinely
-    independent when points are removed, so the depth-first search can
-    prune every dependent extension without losing any larger independent
-    subset.
-    """
-    if max_size < 1:
-        raise InputError(f"max_size must be >= 1, got {max_size}")
-    n = len(points)
-
-    def extend(prefix: tuple[int, ...], base: Sequence,
-               rows: EchelonRows) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == max_size:
-            return
-        for j in range(prefix[-1] + 1, n):
-            grown = echelon_extend(rows, vsub(points[j], base))
-            if grown is None:
-                continue
-            chosen = prefix + (j,)
-            yield chosen
-            yield from extend(chosen, base, grown)
-
-    for i in range(n):
-        yield (i,)
-        yield from extend((i,), points[i], [])
 
 
 # ---------------------------------------------------------------------------

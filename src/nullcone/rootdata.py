@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .ratgeom import (
     GramSpace,
@@ -100,6 +100,7 @@ def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, 
 # integer lattice kernel
 
 IntVec = tuple[int, ...]
+Foot = tuple[IntVec, int]  # (point, den) for point / den, in lowest terms, den > 0
 
 
 def _common_denominator(values: Iterable[Q]) -> int:
@@ -195,50 +196,51 @@ class IntegerLattice:
                       tuple(sides[0]), tuple(sides[1]), tuple(sides[2]),
                       mult_below, mult_at_least)
 
-    def foot(self, subset: Sequence[int]) -> tuple[IntVec, int]:
-        """`ratgeom.perp` of the weights indexed by `subset`, fraction-free.
+    def subset_feet(self, max_size: int) -> Iterator[tuple[tuple[int, ...], Foot]]:
+        """Each affinely independent subset of at most `max_size` weights, in
+        lexicographic order, with its foot `ratgeom.perp` as (point, den):
+        point / den in lowest terms with den > 0.
 
-        The foot is point / den, returned as (point, den) in lowest terms
-        with den > 0.  The normal equations <d_i, d_j> x_j = -<d_i, w_0> of
-        the differences d_i = w_i - w_0 are solved by Bareiss elimination
-        (Bareiss 1968) on integers.  Their matrix is positive semidefinite,
-        so a zero pivot means d_i lies in the span of the earlier
-        differences, and then its whole row is zero: skipping it drops the
-        differences `perp` drops.
+        The depth-first search is fraction-free Gram-Schmidt (Erlingsson,
+        Kaltofen and Musser 1996).  Each later index j of a subset S carries
+        its residual: the part of w_j - w_0 orthogonal to the differences of
+        S, as an integer vector.  It is zero exactly when w_j is in aff(S),
+        and then j is dropped for good.  Adding j with residual u
+        sends the foot f to f - (<f, u> / <u, u>) u and each later residual
+        v to <u, u> v - <v, u> u.  The form's scale cancels in both.
         """
-        if not subset:
-            raise InputError("perp of an empty point set")
-        base = self.weights[subset[0]]
-        diffs = [tuple(map(sub, self.weights[i], base)) for i in subset[1:]]
-        m = len(diffs)
-        rows = []
-        for d in diffs:
-            g = tuple(sum(map(mul, row, d)) for row in self.gram)
-            rows.append([sum(map(mul, g, e)) for e in diffs] + [-sum(map(mul, g, base))])
-        pivots: list[int] = []
-        det = 1
-        for k in range(m):
-            pivot_row = rows[k]
-            p = pivot_row[k]
-            if not p:
-                continue
-            for row in rows[k + 1:]:
-                f = row[k]
-                for j in range(k + 1, m + 1):
-                    row[j] = (p * row[j] - f * pivot_row[j]) // det
-            det = p
-            pivots.append(k)
-        # det is now the minor of the kept differences, and det * x is integral
-        y = [0] * m
-        for k in reversed(pivots):
-            row = rows[k]
-            y[k] = (det * row[m] - sum(map(mul, row[k + 1:m], y[k + 1:]))) // row[k]
-        point = [det * b for b in base]
-        for c, d in zip(y, diffs):
-            if c:
-                point = [a + c * x for a, x in zip(point, d)]
-        k = math.gcd(det * self.weight_den, *point)
-        return tuple(a // k for a in point), det * self.weight_den // k
+        if max_size < 1:
+            raise InputError(f"max_size must be >= 1, got {max_size}")
+        gram, weights = self.gram, self.weights
+
+        def extend(subset, point, den, residuals):
+            for k, (j, u) in enumerate(residuals):
+                cov = [sum(map(mul, row, u)) for row in gram]
+                norm = sum(map(mul, cov, u))
+                t = sum(map(mul, cov, point))
+                moved = [norm * a - t * b for a, b in zip(point, u)]
+                g = math.gcd(norm * den, *moved)
+                chosen = subset + (j,)
+                foot = tuple(a // g for a in moved), norm * den // g
+                yield chosen, foot
+                if len(chosen) < max_size:
+                    rest = []
+                    for i, v in residuals[k + 1:]:
+                        t = sum(map(mul, cov, v))
+                        v = [norm * a - t * b for a, b in zip(v, u)]
+                        g = math.gcd(*v)
+                        if g:
+                            rest.append((i, [a // g for a in v]))
+                    yield from extend(chosen, *foot, rest)
+
+        for i, base in enumerate(weights):
+            g = math.gcd(self.weight_den, *base)
+            foot = tuple(a // g for a in base), self.weight_den // g
+            yield (i,), foot
+            if max_size > 1:
+                diffs = ((j, list(map(sub, weights[j], base)))
+                         for j in range(i + 1, len(weights)))
+                yield from extend((i,), *foot, [(j, d) for j, d in diffs if any(d)])
 
     def direction(self, point: IntVec, den: int) -> Vec:
         """l = f / |f|^2 for the foot f = point / den, as Fractions.

@@ -16,7 +16,6 @@ from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
     InvariantError,
     ResourceError,
-    affinely_independent_subsets,
     is_zero_vec,
     make_space,
     parse_vector,
@@ -48,6 +47,12 @@ def _levels(problem, l):
     return problem.lattice.levels(parse_vector(l))
 
 
+def _from_subset(problem, subset):
+    """`candidate_from_subset` on the foot `subset_feet` yields for `subset`."""
+    feet = dict(problem.lattice.subset_feet(len(subset)))
+    return candidate_from_subset(problem, feet[subset])
+
+
 class TestCountBound:
     def test_no_roots(self):
         problem = _torus([[1, 0], [0, 1]], [[1, 0], [0, 1]])
@@ -74,7 +79,7 @@ class TestCandidateFromSubset:
     def test_adjoint_a1(self):
         problem = validate(catalog("adjoint", ["a1"]))
         # weights sorted: (-1,), (0,), (1,)
-        cand = candidate_from_subset(problem, (2,))
+        cand = _from_subset(problem, (2,))
         assert cand is not None
         assert cand.l == parse_vector(["1/2"])
         assert cand.member_indices == (2,)
@@ -83,25 +88,25 @@ class TestCandidateFromSubset:
 
     def test_zero_perp_rejected(self):
         problem = validate(catalog("adjoint", ["a1"]))
-        assert candidate_from_subset(problem, (1,)) is None  # the zero weight
-        assert candidate_from_subset(problem, (0, 2)) is None  # spans the line
+        assert _from_subset(problem, (1,)) is None  # the zero weight
+        assert _from_subset(problem, (0, 2)) is None  # spans the line
 
     def test_subset_grows_to_saturation(self):
         problem = _torus([[1, 0], [0, 1]], [[1, 0], [1, 1]])
-        cand = candidate_from_subset(problem, (0,))
+        cand = _from_subset(problem, (0,))
         assert cand is not None
         assert cand.l == parse_vector([1, 0])
         assert cand.member_indices == (0, 1)  # (1,1) joins on {l = 1}
         assert cand.member_indices == problem.lattice.levels(cand.l).on
         # the saturated pair gives the same candidate, deduped downstream
-        again = candidate_from_subset(problem, (0, 1))
+        again = _from_subset(problem, (0, 1))
         assert again == cand
 
     def test_hull_rejected(self):
         problem = _torus([[1, 0], [0, 1]], [[1, 1], [1, 2]])
         # both weights sit on {x = 1} so saturation holds, but the foot
         # (1, 0) misses the segment between them
-        assert candidate_from_subset(problem, (0, 1)) is None
+        assert _from_subset(problem, (0, 1)) is None
 
     def test_count_bound_rejected(self):
         # reflection symmetry makes the bound hold on any problem `validate` accepts,
@@ -116,7 +121,7 @@ class TestCandidateFromSubset:
         levels = _levels(sub, [1])
         assert levels.roots_negative == (0,) and levels.mult_below == 0
         assert not levels.holds
-        assert candidate_from_subset(sub, (0,)) is None
+        assert _from_subset(sub, (0,)) is None
 
 
 class TestEnumerate:
@@ -201,7 +206,7 @@ def test_subset_foot_is_member_foot():
         space = problem.space
         points = [v for v, _ in problem.weights]
         seen = set()
-        for subset in affinely_independent_subsets(points, problem.effective_rank):
+        for subset, _ in problem.lattice.subset_feet(problem.effective_rank):
             foot = perp(space, [points[i] for i in subset])
             if is_zero_vec(foot) or foot in seen:
                 continue

@@ -1,12 +1,12 @@
 """The integer lattice kernel against the Fraction reference.
 
 `IntegerLattice.levels` must sort weights and roots exactly as
-`GramSpace.inner` compared with 1 and 0 does, `IntegerLattice.foot` must
-equal `ratgeom.perp` on every subset, affinely dependent ones and projected
-(restricted) weights included, and `IntegerLattice.hull_contains` must
-agree with `ratgeom.in_convex_hull`.  `affinely_independent_subsets` must
-give the same subsets on the lattice's ints as on Fractions, and the
-integer `orbit_closure` must equal a Fraction BFS.  The memo by foot in
+`GramSpace.inner` compared with 1 and 0 does, `IntegerLattice.subset_feet`
+must yield the affinely independent subsets a brute-force rank test finds
+on Fractions, in lexicographic order, each with `ratgeom.perp` of it as its
+foot, projected (restricted) weights included, and
+`IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`.
+The integer `orbit_closure` must equal a Fraction BFS.  The memo by foot in
 `enumerate_candidates` must run the hull LP at most once per distinct l
 without changing the candidates, and the naive oracle must stay independent
 of the kernel.
@@ -31,7 +31,6 @@ from nullcone.oracle import naive_candidates
 from nullcone.ratgeom import (
     GramSpace,
     ResourceError,
-    affinely_independent_subsets,
     in_convex_hull,
     is_zero_vec,
     perp,
@@ -49,7 +48,7 @@ from nullcone.rootdata import (
 )
 
 KERNEL_NAMES = {"IntegerLattice", "Levels", "integer_lattice", "lattice",
-                "levels", "foot", "direction", "hull_contains"}
+                "levels", "subset_feet", "direction", "hull_contains"}
 
 rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
 
@@ -98,15 +97,11 @@ def test_levels_match_inner(data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lattice_inputs(), st.data())
-def test_foot_matches_perp(data, draw):
+@given(lattice_inputs())
+def test_foot_matches_perp(data):
     space, roots, weights, _ = data
     lattice = integer_lattice(space, roots, weights)
-    n = len(weights)
-    for _ in range(4):
-        # repeats and more than rank + 1 points give dependent subsets
-        subset = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2))
-        point, den = lattice.foot(subset)
+    for subset, (point, den) in lattice.subset_feet(space.rank + 1):
         assert den > 0 and math.gcd(den, *point) == 1
         assert tuple(Q(a, den) for a in point) \
             == perp(space, [weights[i][0] for i in subset])
@@ -166,8 +161,7 @@ def test_subsets_same_on_ints_and_fractions(data):
     lattice = integer_lattice(space, roots, weights)
     points = [v for v, _ in weights]
     for size in range(1, space.rank + 2):
-        found = list(affinely_independent_subsets(points, size))
-        assert list(affinely_independent_subsets(lattice.weights, size)) == found
+        found = [subset for subset, _ in lattice.subset_feet(size)]
         # depth-first with increasing indices is lexicographic order
         assert found == sorted(
             subset for k in range(1, size + 1)
@@ -271,7 +265,7 @@ def _distinct_nonzero_l(problem):
     space = problem.space
     points = [v for v, _ in problem.weights]
     out = set()
-    for subset in affinely_independent_subsets(points, problem.effective_rank):
+    for subset, _ in problem.lattice.subset_feet(problem.effective_rank):
         foot = perp(space, [points[i] for i in subset])
         if not is_zero_vec(foot):
             out.add(vscale(1 / space.norm_sq(foot), foot))
@@ -281,10 +275,9 @@ def _distinct_nonzero_l(problem):
 def test_memo_runs_hull_once_per_l(monkeypatch):
     for spec in ("sl3-forms:4", "g2-adjoint"):
         problem = validate(parse_catalog_spec(spec))
-        points = [v for v, _ in problem.weights]
         unmemoized: dict = {}
-        for subset in affinely_independent_subsets(points, problem.effective_rank):
-            cand = candidate_from_subset(problem, subset)
+        for _, foot in problem.lattice.subset_feet(problem.effective_rank):
+            cand = candidate_from_subset(problem, foot)
             if cand is not None:
                 unmemoized.setdefault(cand.l, cand)
         calls = []
@@ -320,7 +313,7 @@ def test_references_run_without_kernel(monkeypatch):
         raise AssertionError("the reference path reached the integer kernel")
 
     monkeypatch.setattr(IntegerLattice, "levels", unavailable)
-    monkeypatch.setattr(IntegerLattice, "foot", unavailable)
+    monkeypatch.setattr(IntegerLattice, "subset_feet", unavailable)
     monkeypatch.setattr(IntegerLattice, "direction", unavailable)
     monkeypatch.setattr(IntegerLattice, "hull_contains", unavailable)
     assert all(verify_candidate(problem, cand) == [] for cand in found)

@@ -71,7 +71,9 @@ ORBITS = {
     "a4": sl_orbits(5),
     "b2": so_orbits(5),
     "b3": so_orbits(7),
+    "b4": so_orbits(9),
     "c3": sp_orbits(3),
+    "c4": sp_orbits(4),
     "d4": so_orbits(8, type_d=True),
     "g2": [6, 8, 10, 12],
 }

@@ -263,6 +263,22 @@ class TestCli:
         bad.write_text('{"rank": 1')
         assert main(["stratify", str(bad)]) == 1
 
+    def test_directory_input_exits_1(self, capsys, tmp_path):
+        assert main(["stratify", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_non_utf8_input_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"rank": 1, "name": "\u00e9"}'.encode("latin-1"))
+        assert main(["stratify", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    def test_unwritable_output_exits_1(self, flag, capsys, tmp_path):
+        target = tmp_path / "missing" / "out"
+        assert main(["stratify", "adjoint:a1", flag, str(target)]) == 1
+        assert f"error: {target}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["sl2-forms:x", "sl3-forms:1.5"])
     def test_malformed_catalog_integer(self, spec, capsys):
         assert main(["stratify", spec]) == 1
