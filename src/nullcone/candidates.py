@@ -11,7 +11,8 @@ it has an affinely independent spanning subset within that size bound and
 the scan cannot miss it; the brute-force oracle in `oracle` double-checks
 this on every tested instance.  `IntegerLattice.subset_feet` yields each
 subset with its foot, updated from its prefix's foot by one fraction-free
-projection, and `candidate_from_subset` takes that foot.
+projection, and `candidate_from_subset` tests each distinct foot once: a
+foot f and l = f/|f|^2 determine each other.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
@@ -43,44 +44,32 @@ from .rootdata import Foot, Levels, ValidatedProblem
 
 @dataclass(frozen=True)
 class Candidate:
-    """A direction l, its foot, and the levels it was accepted with."""
+    """A direction l, its foot, and the levels it was accepted with; the
+    saturated weight set M is `levels.on`."""
 
     l: Vec
     perp_point: Vec
     levels: Levels
 
-    @property
-    def member_indices(self) -> tuple[int, ...]:
-        """The saturated weight set M: the weights on {inner(l, .) = 1}."""
-        return self.levels.on
 
-
-def candidate_from_subset(problem: ValidatedProblem, foot: Foot,
-                          tried: Optional[dict[Foot, Optional[Candidate]]] = None
-                          ) -> Optional[Candidate]:
+def candidate_from_subset(problem: ValidatedProblem, foot: Foot) -> Optional[Candidate]:
     """Build the candidate generated by a weight subset from its foot, or None.
 
     `foot` is the subset's foot as `IntegerLattice.subset_feet` yields it.
     Rejections: the affine hull passes through the origin; the counting
     bound fails; the foot leaves the convex hull of the saturated set.  The
     foot is the foot of the saturated set too (see the module docstring),
-    so it is not recomputed.  The foot f and l = f / |f|^2 determine each
-    other, so `tried` records the result for each foot and answers repeats
-    from it; l is built only for a new foot.
+    so it is not recomputed.
     """
-    if tried is not None and foot in tried:
-        return tried[foot]
     lattice = problem.lattice
     point, den = foot
-    result = None
-    if any(point):
-        l = lattice.direction(point, den)
-        levels = lattice.levels(l)
-        if levels.holds and lattice.hull_contains(point, den, levels.on):
-            result = Candidate(l, tuple(Q(a, den) for a in point), levels)
-    if tried is not None:
-        tried[foot] = result
-    return result
+    if not any(point):
+        return None
+    l = lattice.direction(point, den)
+    levels = lattice.levels(l)
+    if levels.holds and lattice.hull_contains(point, den, levels.on):
+        return Candidate(l, tuple(Q(a, den) for a in point), levels)
+    return None
 
 
 def enumerate_candidates(problem: ValidatedProblem,
@@ -91,11 +80,11 @@ def enumerate_candidates(problem: ValidatedProblem,
     lexicographically minimal orbit member represents each group.
     """
     found: dict[Vec, Candidate] = {}
-    tried: dict[Foot, Optional[Candidate]] = {}
     if problem.weights and problem.effective_rank >= 1:
-        for _, foot in problem.lattice.subset_feet(problem.effective_rank):
-            cand = candidate_from_subset(problem, foot, tried)
-            if cand is not None and cand.l not in found:
+        subsets = problem.lattice.subset_feet(problem.effective_rank)
+        for foot in dict.fromkeys(foot for _, foot in subsets):
+            cand = candidate_from_subset(problem, foot)
+            if cand is not None:
                 found[cand.l] = cand
     if not dedup:
         return tuple(found[l] for l in sorted(found))
@@ -123,7 +112,7 @@ def enumerate_candidates(problem: ValidatedProblem,
 def check_foot(problem: ValidatedProblem, cand: Candidate) -> None:
     """Raise InvariantError unless the stored integer-kernel foot equals the
     Fraction `perp` of the members, as the module docstring shows it must."""
-    member_points = [problem.weights[i][0] for i in cand.member_indices]
+    member_points = [problem.weights[i][0] for i in cand.levels.on]
     if perp(problem.space, member_points) != cand.perp_point:
         raise InvariantError(
             f"candidate {cand.l}: foot {cand.perp_point} is not perp of the members")
@@ -144,12 +133,11 @@ def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:
     if cand.l != expected_l:
         out.append(f"candidate {cand.l}: l is not foot/|foot|^2 = {expected_l}")
     heights = [space.inner(cand.l, v) for v, _ in problem.weights]
-    member_points = [problem.weights[i][0] for i in cand.member_indices]
-    for i in cand.member_indices:
+    member_points = [problem.weights[i][0] for i in cand.levels.on]
+    for i in cand.levels.on:
         if heights[i] != 1:
             out.append(f"candidate {cand.l}: member weight {i} is off the hyperplane")
-    if tuple(i for i, h in enumerate(heights) if h == 1) \
-            != tuple(cand.member_indices):
+    if tuple(i for i, h in enumerate(heights) if h == 1) != cand.levels.on:
         out.append(f"candidate {cand.l}: member set is not saturated")
     if member_points and perp(space, member_points) != cand.perp_point:
         out.append(f"candidate {cand.l}: stored foot is not perp of the members")

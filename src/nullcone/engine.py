@@ -2,10 +2,10 @@
 
 For a candidate l the problem is restricted to the hyperplane data along l:
 roots orthogonal to l survive, weights on the level-1 hyperplane are
-projected onto {l = 0}, and the process repeats with the equality candidates
-of the restriction as children.  The resulting signed tree decides whether l
-labels a stratum: a node is plus exactly when no child is plus, and l is
-stratifying exactly when its root is plus.
+translated by the foot l/|l|^2 onto {l = 0}, and the process repeats with
+the equality candidates of the restriction as children.  The resulting
+signed tree decides whether l labels a stratum: a node is plus exactly when
+no child is plus, and l is stratifying exactly when its root is plus.
 
 Everything stays in ambient coordinates; a restriction just remembers the
 chain of constraint vectors it is orthogonal to.
@@ -22,7 +22,8 @@ from .ratgeom import (
     InvariantError,
     Vec,
     is_zero_vec,
-    project_hyperplane,
+    vscale,
+    vsub,
 )
 from .rootdata import (
     Problem,
@@ -36,7 +37,12 @@ Cache = dict[tuple[tuple[Vec, ...], tuple[tuple[Vec, int], ...]], tuple[Vec, ...
 
 
 def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
-    """Restriction along a candidate l of the given problem."""
+    """Restriction along a candidate l of the given problem.
+
+    On the level-1 hyperplane the projection onto {l = 0} is the translation
+    by the foot l/|l|^2.  A translation is injective and keeps lexicographic
+    order, so the restricted weights stay distinct and sorted.
+    """
     space = problem.space
     if is_zero_vec(l):
         raise InputError("cannot restrict along the zero vector")
@@ -48,15 +54,12 @@ def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
                              f"{problem.effective_rank} along {l}")
     levels = problem.lattice.levels(l)
     roots = tuple(problem.roots[j] for j in levels.roots_zero)
-    merged: dict[Vec, int] = {}
-    for i in levels.on:
-        v, mult = problem.weights[i]
-        w = project_hyperplane(space, l, v)
-        merged[w] = merged.get(w, 0) + mult
+    foot = vscale(1 / space.norm_sq(l), l)
+    on = (problem.weights[i] for i in levels.on)
     return replace(
         problem,
         roots=roots,
-        weights=tuple(sorted(merged.items())),
+        weights=tuple((vsub(v, foot), mult) for v, mult in on),
         generator_matrices=reflection_generators(space, roots),
         constraints=problem.constraints + (l,),
     )

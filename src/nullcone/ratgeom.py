@@ -112,35 +112,13 @@ def dot(u: Vec, v: Vec) -> Q:
 # ---------------------------------------------------------------------------
 # Gram form
 
-def _nonpositive_minor(gram: Sequence[Sequence[Q]]) -> Optional[tuple[int, Q]]:
-    """The first leading principal minor of a square matrix that is not
-    positive, as (its size, its value), or None if all are positive.
-
-    While the leading minors stay positive, elimination needs no row swaps
-    and leading minor k is the product of the first k pivots.
-    """
-    m = [[Q(x) for x in row] for row in gram]
-    minor = Q(1)
-    for k in range(len(m)):
-        minor *= m[k][k]
-        if minor <= 0:
-            return k + 1, minor
-        for r in range(k + 1, len(m)):
-            f = m[r][k] / m[k][k]
-            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-    return None
-
-
-def is_positive_definite(gram: Sequence[Sequence[Q]]) -> bool:
-    """Sylvester test: all leading principal minors positive, exactly."""
-    n = len(gram)
-    if any(len(row) != n for row in gram):
-        raise InputError("gram matrix must be square")
-    return _nonpositive_minor(gram) is None
-
-
 def gram_violations(gram: Sequence[Sequence[Q]]) -> list[str]:
-    """All reasons a matrix fails to be a symmetric positive definite form."""
+    """All reasons a matrix fails to be a symmetric positive definite form.
+
+    Definiteness is Sylvester's test.  While the leading minors stay
+    positive, elimination needs no row swaps and leading minor k is the
+    product of the first k pivots.
+    """
     out = []
     n = len(gram)
     if n == 0:
@@ -155,11 +133,17 @@ def gram_violations(gram: Sequence[Sequence[Q]]) -> list[str]:
                     f"but ({j},{i})={gram[j][i]}")
     if out:
         return out
-    bad = _nonpositive_minor(gram)
-    if bad is not None:
-        out.append(f"gram matrix is not positive definite: leading minor {bad[0]} "
-                   f"is {bad[1]}")
-    return out
+    m = [[Q(x) for x in row] for row in gram]
+    minor = Q(1)
+    for k in range(n):
+        minor *= m[k][k]
+        if minor <= 0:
+            return [f"gram matrix is not positive definite: leading minor {k + 1} "
+                    f"is {minor}"]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return []
 
 
 @dataclass(frozen=True)
@@ -254,7 +238,7 @@ def echelon_extend(rows: EchelonRows, v: Sequence) -> Optional[EchelonRows]:
 
 
 # ---------------------------------------------------------------------------
-# perpendicular foot and projections
+# perpendicular foot
 
 def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     """The point of the affine hull of `points` nearest the origin.
@@ -292,14 +276,6 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
         if c:
             foot = vadd(foot, vscale(c, d))
     return foot
-
-
-def project_hyperplane(space: GramSpace, l: Vec, v: Vec) -> Vec:
-    """Orthogonal projection of v onto the hyperplane inner(l, .) = 0."""
-    if is_zero_vec(l):
-        raise InputError("cannot project along the zero vector")
-    t = space.inner(l, v) / space.norm_sq(l)
-    return vsub(v, vscale(t, l)) if t else v
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ _TREES.append(_TREE)
 
 _CANDIDATE = (
     ("l", attrgetter("candidate.l"), _vector),
-    ("M", attrgetter("candidate.member_indices"), [_index]),
+    ("M", attrgetter("candidate.levels.on"), [_index]),
     ("stratifying", attrgetter("stratifying"), _bool),
     ("tree", attrgetter("tree"), _TREE),
 )
@@ -123,20 +123,6 @@ def _parse(kind: Any, value: Any, where: str) -> Any:
                 raise InputError(f"{where} missing key {key!r}")
         return {key: _parse(sub, value[key], f"{where}.{key}") for key, _, sub in kind}
     return kind(value, where)
-
-
-def tree_to_json(tree: SignedTree) -> dict[str, Any]:
-    return _emit(_TREE, tree)
-
-
-def tree_from_json(obj: Any) -> SignedTree:
-    return _signed_tree(_parse(_TREE, obj, "tree"))
-
-
-def _signed_tree(node: dict[str, Any]) -> SignedTree:
-    return SignedTree(parse_vector(node["l"]),
-                      tuple(_signed_tree(child) for child in node["children"]),
-                      node["sign"] == "+")
 
 
 def to_json_dict(summary: NullconeSummary) -> dict[str, Any]:
@@ -213,7 +199,7 @@ def _candidate_lines(summary: NullconeSummary, counts: bool) -> list[str]:
         lines.append("  (none)")
     for i, decision in enumerate(summary.decisions):
         cand = decision.candidate
-        detail = (f"M={list(cand.member_indices)}  "
+        detail = (f"M={list(cand.levels.on)}  "
                   f"roots<0: {len(cand.levels.roots_negative)}  "
                   f"weights<1: {cand.levels.mult_below}  ") if counts else ""
         verdict = "stratifying" if decision.stratifying else "excluded"

@@ -1,9 +1,13 @@
 """The package's public surface: `nullcone.__all__` is pinned here, and the
-README documents every name in it."""
+README documents every name in it.  Every definition in the package has a
+caller."""
 
+import ast
 from pathlib import Path
 
 import nullcone
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SURFACE = [
     "Candidate",
@@ -42,7 +46,48 @@ SURFACE = [
 
 def test_public_surface_is_pinned_and_documented():
     assert sorted(nullcone.__all__) == SURFACE
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     for name in SURFACE:
         assert getattr(nullcone, name) is not None
         assert f"`{name}`" in readme, name
+
+
+# definitions kept without a caller in src/ or bench/, each with its reason
+UNCALLED = {
+    "reflect": "the Fraction reflection that tests compare orbits against",
+    "verify_candidate": "the Fraction recheck that tests compare candidates against",
+    "make_space": "builds a GramSpace from literal rows in tests",
+    "standard_transforms": "the invariance inputs of the metamorphic tests",
+    "problem_to_json": "writes the problem schema that problem_from_json reads",
+    "_ArgumentParser.error": "argparse calls it on a usage error",
+}
+
+
+def test_every_definition_has_a_caller():
+    """A top-level function or class, or a method, of `src/nullcone` must
+    be referenced in `src/` or `bench/`: by name, as an attribute, or as a
+    string (an `__all__` export, a wrapper installed by name).  Dunder
+    methods are called by Python itself."""
+    definitions = []
+    for path in sorted((ROOT / "src" / "nullcone").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{node.name}.{item.name}", item.name)
+                                for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("__")]
+    referenced = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    assert set(UNCALLED) <= {qualified for qualified, _ in definitions}
+    uncalled = [qualified for qualified, name in definitions
+                if name not in referenced and qualified not in UNCALLED]
+    assert uncalled == []

@@ -23,6 +23,7 @@ from nullcone.ratgeom import (
     vscale,
 )
 from nullcone.rootdata import (
+    IntegerLattice,
     Problem,
     RootSystem,
     ValidatedProblem,
@@ -82,7 +83,7 @@ class TestCandidateFromSubset:
         cand = _from_subset(problem, (2,))
         assert cand is not None
         assert cand.l == parse_vector(["1/2"])
-        assert cand.member_indices == (2,)
+        assert cand.levels.on == (2,)
         assert cand.perp_point == parse_vector([1])
         assert cand.levels.mult_at_least == 1
 
@@ -96,8 +97,8 @@ class TestCandidateFromSubset:
         cand = _from_subset(problem, (0,))
         assert cand is not None
         assert cand.l == parse_vector([1, 0])
-        assert cand.member_indices == (0, 1)  # (1,1) joins on {l = 1}
-        assert cand.member_indices == problem.lattice.levels(cand.l).on
+        assert cand.levels.on == (0, 1)  # (1,1) joins on {l = 1}
+        assert cand.levels.on == problem.lattice.levels(cand.l).on
         # the saturated pair gives the same candidate, deduped downstream
         again = _from_subset(problem, (0, 1))
         assert again == cand
@@ -160,7 +161,7 @@ class TestEnumerate:
         first = enumerate_candidates(problem)
         second = enumerate_candidates(problem)
         assert [c.l for c in first] == [c.l for c in second]
-        assert [c.member_indices for c in first] == [c.member_indices for c in second]
+        assert [c.levels.on for c in first] == [c.levels.on for c in second]
 
 
 class TestVerifyCandidate:
@@ -235,16 +236,25 @@ def test_root_level_work_counts(monkeypatch, source, counts):
     visits fewer subsets may move the first column only."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    memos = []
+    subsets, feet, accepted = [], [], []
+    subset_feet = IntegerLattice.subset_feet
     original = candidates.candidate_from_subset
 
-    def counting(problem, item, tried=None):
-        memos.append(tried)
-        return original(problem, item, tried)
+    def listing(lattice, max_size):
+        for item in subset_feet(lattice, max_size):
+            subsets.append(item)
+            yield item
 
+    def counting(problem, foot):
+        feet.append(foot)
+        cand = original(problem, foot)
+        if cand is not None:
+            accepted.append(cand.l)
+        return cand
+
+    monkeypatch.setattr(IntegerLattice, "subset_feet", listing)
     monkeypatch.setattr(candidates, "candidate_from_subset", counting)
     kept = candidates.enumerate_candidates(problem)
-    memo = memos[0]
-    assert all(tried is memo for tried in memos)
-    accepted = sum(cand is not None for cand in memo.values())
-    assert (len(memos), len(memo), accepted, len(kept)) == counts
+    assert len(set(feet)) == len(feet) and len(set(accepted)) == len(accepted)
+    assert set(feet) == {foot for _, foot in subsets}
+    assert (len(subsets), len(feet), len(accepted), len(kept)) == counts

@@ -54,16 +54,33 @@ class TestRestrict:
         assert all(m == 1 for _, m in sub.weights)
 
     def test_projection_is_translation_on_slice(self):
-        # on the level-1 slice the projection subtracts the foot l/|l|^2
-        problem = validate(parse_catalog_spec("g2-adjoint"))
-        l = parse_vector([1, "2/3"])
-        foot = tuple(x / problem.space.norm_sq(l) for x in l)
-        sub = restrict(problem, l)
-        members = [v for v, _ in problem.weights
-                   if problem.space.inner(l, v) == 1]
-        translated = sorted(tuple(a - b for a, b in zip(v, foot))
-                            for v in members)
-        assert [v for v, _ in sub.weights] == translated
+        # on the level-1 slice the projection onto {l = 0} subtracts the foot
+        # l/|l|^2, so the restricted weights stay distinct and sorted; checked
+        # against the projection formula at every tree node
+        problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
+        problems += [random_problem(random.Random(seed)) for seed in range(20)]
+        nodes = 0
+
+        def walk(problem, node):
+            nonlocal nodes
+            space, l = problem.space, node.l
+            sub = restrict(problem, l)
+            projected = [
+                (tuple(a - space.inner(l, v) / space.norm_sq(l) * b
+                       for a, b in zip(v, l)), mult)
+                for v, mult in problem.weights if space.inner(l, v) == 1]
+            assert list(sub.weights) == projected
+            points = [v for v, _ in sub.weights]
+            assert points == sorted(set(points))
+            nodes += 1
+            for child in node.children:
+                walk(sub, child)
+
+        for problem in problems:
+            summary = stratify(problem)
+            for decision in summary.decisions:
+                walk(summary.problem, decision.tree)
+        assert nodes > len(problems)
 
     def test_zero_vector_rejected(self):
         problem = validate(catalog("adjoint", ["a1"]))

@@ -6,9 +6,9 @@ must yield the affinely independent subsets a brute-force rank test finds
 on Fractions, in lexicographic order, each with `ratgeom.perp` of it as its
 foot, projected (restricted) weights included, and
 `IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`.
-The integer `orbit_closure` must equal a Fraction BFS.  The memo by foot in
-`enumerate_candidates` must run the hull LP at most once per distinct l
-without changing the candidates, and the naive oracle must stay independent
+The integer `orbit_closure` must equal a Fraction BFS.  Testing each
+distinct foot once in `enumerate_candidates` must run the hull LP at most
+once per distinct l without changing the candidates, and the naive oracle must stay independent
 of the kernel.
 """
 
@@ -34,8 +34,8 @@ from nullcone.ratgeom import (
     in_convex_hull,
     is_zero_vec,
     perp,
-    project_hyperplane,
     vscale,
+    vsub,
 )
 from nullcone.rootdata import (
     IntegerLattice,
@@ -72,7 +72,8 @@ def lattice_inputs(draw):
         points.append(tuple((a + 2 * b) / 3 for a, b in zip(points[0], points[1])))
     if draw(st.booleans()):
         l0 = draw(vectors.filter(lambda v: not is_zero_vec(v)))
-        points = [project_hyperplane(space, l0, v) for v in points]
+        norm = space.norm_sq(l0)
+        points = [vsub(v, vscale(space.inner(l0, v) / norm, l0)) for v in points]
     weights = [(v, draw(st.integers(1, 3))) for v in points]
     roots = draw(st.lists(vectors, max_size=6))
     l = draw(vectors.filter(lambda v: not is_zero_vec(v)))

@@ -17,9 +17,7 @@ from nullcone.report import (
     to_json_dict,
     to_json_text,
     to_text,
-    tree_from_json,
     tree_text,
-    tree_to_json,
 )
 from nullcone.rootdata import catalog, parse_catalog_spec, problem_to_json
 from nullcone.svg import render_svg
@@ -106,12 +104,6 @@ class TestJsonReport:
             from_json_text('{"candidates": [], "strata": [], '
                            '"nullcone": {"dim": 0.5, "equals_V": false, '
                            '"max_components": []}}')
-
-    def test_tree_round_trip(self):
-        summary = _summary("gl2-ex3:2,1")
-        for decision in summary.decisions:
-            data = tree_to_json(decision.tree)
-            assert tree_from_json(data) == decision.tree
 
 
 class TestTextReport:
