@@ -52,14 +52,15 @@ class Candidate:
     levels: Levels
 
 
-def candidate_from_subset(problem: ValidatedProblem, foot: Foot) -> Optional[Candidate]:
+def candidate_from_subset(problem: ValidatedProblem, foot: Foot,
+                          equality: bool = False) -> Optional[Candidate]:
     """Build the candidate generated by a weight subset from its foot, or None.
 
     `foot` is the subset's foot as `IntegerLattice.subset_feet` yields it.
     Rejections: the affine hull passes through the origin; the counting
-    bound fails; the foot leaves the convex hull of the saturated set.  The
-    foot is the foot of the saturated set too (see the module docstring),
-    so it is not recomputed.
+    bound fails (with `equality`, is not an equality); the foot leaves the
+    convex hull of the saturated set.  The foot is the foot of the saturated
+    set too (see the module docstring), so it is not recomputed.
     """
     lattice = problem.lattice
     point, den = foot
@@ -67,23 +68,26 @@ def candidate_from_subset(problem: ValidatedProblem, foot: Foot) -> Optional[Can
         return None
     l = lattice.direction(point, den)
     levels = lattice.levels(l)
-    if levels.holds and lattice.hull_contains(point, den, levels.on):
+    bound = levels.is_equality if equality else levels.holds
+    if bound and lattice.hull_contains(point, den, levels.on):
         return Candidate(l, tuple(Q(a, den) for a in point), levels)
     return None
 
 
-def enumerate_candidates(problem: ValidatedProblem,
-                         dedup: bool = True) -> tuple[Candidate, ...]:
-    """All candidates, sorted by l.
+def enumerate_candidates(problem: ValidatedProblem, dedup: bool = True,
+                         equality: bool = False) -> tuple[Candidate, ...]:
+    """All candidates, sorted by l; with `equality`, only those whose
+    counting bound is an equality, the children of a signed-tree node.
 
     With dedup enabled, Weyl-equivalent candidates are grouped and the
-    lexicographically minimal orbit member represents each group.
+    lexicographically minimal orbit member represents each group.  W permutes
+    the roots and weights, so the equality candidates are a union of orbits.
     """
     found: dict[Vec, Candidate] = {}
     if problem.weights and problem.effective_rank >= 1:
         subsets = problem.lattice.subset_feet(problem.effective_rank)
         for foot in dict.fromkeys(foot for _, foot in subsets):
-            cand = candidate_from_subset(problem, foot)
+            cand = candidate_from_subset(problem, foot, equality)
             if cand is not None:
                 found[cand.l] = cand
     if not dedup:
@@ -96,9 +100,11 @@ def enumerate_candidates(problem: ValidatedProblem,
         try:
             orbit = problem.orbit(l)
         except ResourceError as exc:
-            raise ResourceError(
-                f"{exc} while grouping candidates into Weyl orbits; "
-                "rerun with --no-dedup to skip the grouping") from exc
+            # a tree node groups its equality candidates even under --no-dedup
+            where, fix = (("the equality candidates of a signed-tree node",
+                           "a larger --orbit-cap") if problem.constraints else
+                          ("candidates into Weyl orbits", "--no-dedup to skip the grouping"))
+            raise ResourceError(f"{exc} while grouping {where}; rerun with {fix}") from exc
         seen.update(orbit)
         representative = min(orbit)
         # the Weyl group permutes candidates, so the minimum must be one

@@ -33,6 +33,7 @@ from .report import (
 from .rootdata import (
     CATALOG,
     Problem,
+    ValidatedProblem,
     ValidationError,
     parse_catalog_spec,
     problem_from_json,
@@ -95,24 +96,23 @@ def _catalog_list() -> int:
     return 0
 
 
-def _run_verification(problem: Problem, dedup: bool) -> tuple[list[str], bool]:
+def _run_verification(problem: ValidatedProblem, dedup: bool) -> int:
+    """Print the oracle's and the rank-2 law's verdicts; return the exit code."""
     report = compare_with_naive(problem, dedup=dedup)
-    lines = []
     ok = report.candidate_set_match
     if ok:
-        lines.append("verify: candidate sets agree")
-    else:
-        for l, side in report.mismatches:
-            source = "subset engine" if side == "engine" else "naive scan"
-            lines.append(f"verify: l={fmt_vec(l)} found only by the {source}")
-    if validate(problem).rank == 2:
+        print("verify: candidate sets agree")
+    for l, side in report.mismatches:
+        source = "subset engine" if side == "engine" else "naive scan"
+        print(f"verify: l={fmt_vec(l)} found only by the {source}")
+    if problem.rank == 2:
         law = check_rank2_law(problem)
-        if law:
-            lines.extend(f"verify: {line}" for line in law)
-            ok = False
-        else:
-            lines.append("verify: rank-2 law consistent")
-    return lines, ok
+        for line in law:
+            print(f"verify: {line}")
+        if not law:
+            print("verify: rank-2 law consistent")
+        ok = ok and not law
+    return 0 if ok else 3
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -129,14 +129,11 @@ def _run(args: argparse.Namespace) -> int:
         if args.verify and args.command != "verify":
             raise InputError("--verify is only valid with the stratify command")
 
-    problem = load_problem(args.input, args.orbit_cap)
+    problem = validate(load_problem(args.input, args.orbit_cap))
     dedup = not args.no_dedup
 
     if args.command == "verify":
-        lines, ok = _run_verification(problem, dedup)
-        for line in lines:
-            print(line)
-        return 0 if ok else 3
+        return _run_verification(problem, dedup)
 
     summary = stratify(problem, dedup=dedup)
 
@@ -156,13 +153,7 @@ def _run(args: argparse.Namespace) -> int:
                 Path(path).write_text(text)
             except OSError as exc:
                 raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    if args.verify:
-        lines, ok = _run_verification(problem, dedup)
-        for line in lines:
-            print(line)
-        if not ok:
-            return 3
-    return 0
+    return _run_verification(problem, dedup) if args.verify else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

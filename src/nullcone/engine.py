@@ -29,7 +29,6 @@ from .rootdata import (
     Problem,
     ValidatedProblem,
     orbit_closure,  # noqa: F401 (bench/tracer.py wraps it under this name)
-    reflection_generators,
     validate,
 )
 
@@ -41,7 +40,8 @@ def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
 
     On the level-1 hyperplane the projection onto {l = 0} is the translation
     by the foot l/|l|^2.  A translation is injective and keeps lexicographic
-    order, so the restricted weights stay distinct and sorted.
+    order, so the restricted weights stay distinct and sorted.  The Weyl
+    group is the reflections in the surviving roots, built on demand.
     """
     space = problem.space
     if is_zero_vec(l):
@@ -60,14 +60,15 @@ def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
         problem,
         roots=roots,
         weights=tuple((vsub(v, foot), mult) for v, mult in on),
-        generator_matrices=reflection_generators(space, roots),
+        weyl_generators=None,
         constraints=problem.constraints + (l,),
     )
 
 
 def equality_set(sub: ValidatedProblem,
                  cache: Optional[Cache] = None) -> tuple[Vec, ...]:
-    """Candidates of `sub` whose counting bound is an equality.
+    """Candidates of `sub` whose counting bound is an equality; the
+    enumeration tests and groups no others.
 
     A restriction without roots has none, so it is not enumerated.  There
     the origin lies in the convex hull of the weights (it is the projected
@@ -83,7 +84,7 @@ def equality_set(sub: ValidatedProblem,
     key = (sub.roots, sub.weights)
     if cache is not None and key in cache:
         return cache[key]
-    result = tuple(c.l for c in enumerate_candidates(sub) if c.levels.is_equality)
+    result = tuple(c.l for c in enumerate_candidates(sub, equality=True))
     if cache is not None:
         cache[key] = result
     return result

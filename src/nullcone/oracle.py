@@ -38,7 +38,6 @@ from .rootdata import (
     direct_sum,
     matvec,
     orbit_closure,
-    reflection_generators,
     validate,
 )
 
@@ -213,7 +212,7 @@ def _template(name: str) -> tuple[GramSpace, tuple[Vec, ...], tuple[Matrix, ...]
     types.  A reflection does not change when the form is scaled."""
     problem = reduce(direct_sum, (catalog("adjoint", [t]) for t in name.split("+")))
     roots = problem.roots.roots
-    return problem.space, roots, reflection_generators(problem.space, roots)
+    return problem.space, roots, problem.generator_matrices
 
 
 def random_gram(rng: random.Random, rank: int) -> tuple[Vec, ...]:

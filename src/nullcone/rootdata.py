@@ -376,14 +376,22 @@ class ValidatedProblem:
     A restriction (`engine.restrict`) is one too, in ambient coordinates: its
     roots and weights are orthogonal (under the form) to every vector in
     `constraints`.  A root problem is the restriction with no constraints.
+    `weyl_generators` is None for the reflections in `roots`, built only when
+    an orbit is asked for; `validate` passes the matrices it checked.
     """
 
     space: GramSpace
     roots: tuple[Vec, ...]
     weights: tuple[tuple[Vec, int], ...]
-    generator_matrices: tuple[Matrix, ...]
+    weyl_generators: Optional[tuple[Matrix, ...]] = None
     orbit_cap: int = DEFAULT_ORBIT_CAP
     constraints: tuple[Vec, ...] = ()
+
+    @cached_property
+    def generator_matrices(self) -> tuple[Matrix, ...]:
+        if self.weyl_generators is not None:
+            return self.weyl_generators
+        return reflection_generators(self.space, self.roots)
 
     @property
     def rank(self) -> int:
@@ -508,7 +516,7 @@ def validate(problem: Problem) -> ValidatedProblem:
         space=problem.space,
         roots=tuple(sorted(problem.roots.roots)),
         weights=tuple(sorted(problem.weights.entries)),
-        generator_matrices=problem.generator_matrices,
+        weyl_generators=problem.generator_matrices,
         orbit_cap=problem.orbit_cap,
     )
 

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction as Q
 from pathlib import Path
 
-from nullcone import candidates
+from nullcone import candidates, rootdata
 from nullcone.candidates import (
     candidate_from_subset,
     check_foot,
@@ -12,6 +12,7 @@ from nullcone.candidates import (
     verify_candidate,
 )
 from nullcone.cli import load_problem
+from nullcone.engine import restrict, stratify
 from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
     InvariantError,
@@ -117,7 +118,7 @@ class TestCandidateFromSubset:
             space=make_space([[1]]),
             roots=(parse_vector([-2]), parse_vector([2])),
             weights=((parse_vector([1]), 1),),
-            generator_matrices=(),
+            weyl_generators=(),
         )
         levels = _levels(sub, [1])
         assert levels.roots_negative == (0,) and levels.mult_below == 0
@@ -155,6 +156,15 @@ class TestEnumerate:
         with pytest.raises(ResourceError, match="no-dedup"):
             enumerate_candidates(problem)
         assert enumerate_candidates(problem, dedup=False)
+
+    def test_orbit_cap_in_a_tree_asks_for_a_larger_cap(self):
+        # a tree node groups its equality candidates whatever --no-dedup says
+        problem = validate(dataclasses.replace(catalog("adjoint", ["b3"]),
+                                               orbit_cap=3))
+        sub = restrict(problem, parse_vector([0, 0, 1]))  # 8 roots survive
+        with pytest.raises(ResourceError, match="larger --orbit-cap") as info:
+            enumerate_candidates(sub, equality=True)
+        assert "no-dedup" not in str(info.value)
 
     def test_deterministic(self):
         problem = validate(parse_catalog_spec("sl3-forms:3"))
@@ -245,9 +255,9 @@ def test_root_level_work_counts(monkeypatch, source, counts):
             subsets.append(item)
             yield item
 
-    def counting(problem, foot):
+    def counting(problem, foot, *args):
         feet.append(foot)
-        cand = original(problem, foot)
+        cand = original(problem, foot, *args)
         if cand is not None:
             accepted.append(cand.l)
         return cand
@@ -258,3 +268,35 @@ def test_root_level_work_counts(monkeypatch, source, counts):
     assert len(set(feet)) == len(feet) and len(set(accepted)) == len(accepted)
     assert set(feet) == {foot for _, foot in subsets}
     assert (len(subsets), len(feet), len(accepted), len(kept)) == counts
+
+
+@pytest.mark.parametrize("source, counts", [
+    ("qubits3.json", (40, 11, 3)),
+    ("qubits4.json", (360, 38, 4)),
+    ("sl3-forms:6", (176, 33, 1)),
+])
+def test_tree_level_work_counts(monkeypatch, source, counts):
+    """One `stratify`'s (hull LPs, Weyl orbits, reflection sets built).  A
+    tree node tests and groups only its equality candidates, and a
+    restriction builds its reflections only when it groups some, so these
+    stay far below the (64, 20), (648, 152) and (194, 42) hull and orbit
+    counts, and the one reflection build per restriction, of testing every
+    candidate at every node."""
+    path = BENCH_PROBLEMS / source
+    problem = validate(load_problem(str(path) if path.exists() else source))
+    calls = {"hull": 0, "orbit": 0, "reflections": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(IntegerLattice, "hull_contains",
+                        counted("hull", IntegerLattice.hull_contains))
+    monkeypatch.setattr(rootdata, "orbit_closure",
+                        counted("orbit", rootdata.orbit_closure))
+    monkeypatch.setattr(rootdata, "reflection_generators",
+                        counted("reflections", rootdata.reflection_generators))
+    stratify(problem)
+    assert (calls["hull"], calls["orbit"], calls["reflections"]) == counts

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from fractions import Fraction as Q
 
-from nullcone import engine
+from nullcone import engine, rootdata
 from nullcone.candidates import enumerate_candidates
 from nullcone.engine import (
     SignedTree,
@@ -106,7 +106,7 @@ class TestRestrict:
         # survive it.  Listing each equality candidate twice gives a node two
         # plus children.
         script = textwrap.dedent("""
-            from nullcone import engine
+            from nullcone import engine, rootdata
             from nullcone.ratgeom import InvariantError, parse_vector
             from nullcone.rootdata import parse_catalog_spec, validate
             assert False, "asserts are live"
@@ -131,6 +131,22 @@ class TestRestrict:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n") == ["raised", "raised: True", ""]
+
+    def test_reflections_built_on_demand(self, monkeypatch):
+        problem = validate(parse_catalog_spec("adjoint:b2"))
+        build = rootdata.reflection_generators
+
+        def unbuildable(*args):
+            raise AssertionError("a restriction built its reflections")
+
+        # every build, whatever name it is called by, goes through reflection_matrix
+        monkeypatch.setattr(rootdata, "reflection_generators", unbuildable)
+        monkeypatch.setattr(rootdata, "reflection_matrix", unbuildable)
+        subs = [restrict(problem, c.l) for c in enumerate_candidates(problem)]
+        monkeypatch.undo()
+        assert any(sub.roots for sub in subs)
+        for sub in subs:
+            assert sub.generator_matrices == build(sub.space, sub.roots)
 
     def test_orthogonality_to_constraints(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
@@ -165,6 +181,24 @@ class TestEqualitySet:
         assert equality_set(sub, cache) == first
 
 
+def _tree_node_restrictions():
+    """The restriction at every signed-tree node of the catalog specs and of
+    20 random problems."""
+    problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
+    problems += [random_problem(random.Random(seed)) for seed in range(20)]
+
+    def walk(problem, node):
+        sub = restrict(problem, node.l)
+        yield sub
+        for child in node.children:
+            yield from walk(sub, child)
+
+    for problem in problems:
+        summary = stratify(problem)
+        for decision in summary.decisions:
+            yield from walk(summary.problem, decision.tree)
+
+
 class TestTrees:
     def test_gl2_tree_shape(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
@@ -187,25 +221,22 @@ class TestTrees:
     def test_rootless_restrictions_have_no_equality_candidates(self):
         # the lemma behind the prune in `equality_set`, checked against the
         # unpruned enumeration at every tree node
-        problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
-        problems += [random_problem(random.Random(seed)) for seed in range(20)]
-        rootless = 0
+        rootless = [sub for sub in _tree_node_restrictions() if not sub.roots]
+        assert rootless
+        for sub in rootless:
+            assert not any(c.levels.is_equality
+                           for c in enumerate_candidates(sub, dedup=False))
 
-        def walk(problem, node):
-            nonlocal rootless
-            sub = restrict(problem, node.l)
-            if not sub.roots:
-                rootless += 1
-                assert not any(c.levels.is_equality
-                               for c in enumerate_candidates(sub, dedup=False))
-            for child in node.children:
-                walk(sub, child)
-
-        for problem in problems:
-            summary = stratify(problem)
-            for decision in summary.decisions:
-                walk(summary.problem, decision.tree)
-        assert rootless > 0
+    def test_equality_enumeration_is_the_filtered_enumeration(self):
+        # the equality candidates are a union of Weyl orbits, so testing and
+        # grouping only them keeps the same representatives and levels
+        nodes = [sub for sub in _tree_node_restrictions() if sub.roots]
+        assert len(nodes) > 100
+        for sub in nodes:
+            for dedup in (True, False):
+                every = enumerate_candidates(sub, dedup=dedup)
+                assert enumerate_candidates(sub, dedup=dedup, equality=True) \
+                    == tuple(c for c in every if c.levels.is_equality)
 
     def test_invariants_walk(self):
         def walk(node: SignedTree):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from nullcone import rootdata
 from nullcone.cli import main
 from nullcone.engine import stratify
 from nullcone.oracle import OracleReport
@@ -313,6 +314,28 @@ class TestCli:
         assert main(["stratify", "adjoint:b2", "--orbit-cap", "3"]) == 2
         assert main(["stratify", "adjoint:b2", "--orbit-cap", "3",
                      "--no-dedup"]) == 0
+
+    def test_orbit_cap_in_a_tree_does_not_advise_no_dedup(self, capsys):
+        # --no-dedup is already given; the cap is hit grouping a tree node's
+        # equality candidates, which every tree does
+        assert main(["stratify", "adjoint:b3", "--no-dedup",
+                     "--orbit-cap", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "larger --orbit-cap" in err and "--no-dedup" not in err
+
+    @pytest.mark.parametrize("argv", [["stratify", "gl2-ex3:2,1", "--verify"],
+                                      ["verify", "gl2-ex3:2,1"]])
+    def test_problem_validated_once(self, argv, capsys, monkeypatch):
+        calls = []
+        violations = rootdata.problem_violations
+
+        def counting(problem):
+            calls.append(problem)
+            return violations(problem)
+
+        monkeypatch.setattr(rootdata, "problem_violations", counting)
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_module_entry_point(self):
         result = subprocess.run(
