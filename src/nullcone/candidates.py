@@ -100,11 +100,11 @@ def enumerate_candidates(problem: ValidatedProblem, dedup: bool = True,
         try:
             orbit = problem.orbit(l)
         except ResourceError as exc:
-            # a tree node groups its equality candidates even under --no-dedup
-            where, fix = (("the equality candidates of a signed-tree node",
-                           "a larger --orbit-cap") if problem.constraints else
-                          ("candidates into Weyl orbits", "--no-dedup to skip the grouping"))
-            raise ResourceError(f"{exc} while grouping {where}; rerun with {fix}") from exc
+            if problem.constraints:  # a tree node groups even under --no-dedup
+                raise ResourceError(f"{exc} while grouping the equality candidates of a "
+                                    "signed-tree node; rerun with a larger --orbit-cap") from exc
+            raise ResourceError(f"{exc} while grouping candidates into Weyl orbits; "
+                                "rerun with --no-dedup to skip the grouping") from exc
         seen.update(orbit)
         representative = min(orbit)
         # the Weyl group permutes candidates, so the minimum must be one

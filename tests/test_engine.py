@@ -106,7 +106,7 @@ class TestRestrict:
         # survive it.  Listing each equality candidate twice gives a node two
         # plus children.
         script = textwrap.dedent("""
-            from nullcone import engine, rootdata
+            from nullcone import engine
             from nullcone.ratgeom import InvariantError, parse_vector
             from nullcone.rootdata import parse_catalog_spec, validate
             assert False, "asserts are live"
