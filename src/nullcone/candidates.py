@@ -32,7 +32,6 @@ from typing import Optional
 from .ratgeom import (
     InvariantError,
     Q,
-    ResourceError,
     Vec,
     in_convex_hull,
     is_zero_vec,
@@ -79,40 +78,23 @@ def enumerate_candidates(problem: ValidatedProblem, dedup: bool = True,
     """All candidates, sorted by l; with `equality`, only those whose
     counting bound is an equality, the children of a signed-tree node.
 
-    With dedup enabled, Weyl-equivalent candidates are grouped and the
-    lexicographically minimal orbit member represents each group.  W permutes
-    the roots and weights, so the equality candidates are a union of orbits.
+    W permutes the candidates.  With dedup, each orbit keeps its lexicographic
+    minimum alone.  On a finite set lex order agrees with a linear form that
+    is positive on the lex-positive roots, so that minimum is the orbit's one
+    point in the closed anti-dominant chamber (Humphreys 1990, 1.12).  The
+    foot is a positive multiple of l, so `in_chamber` tests it before the
+    level pass and the hull LP.  Without dedup nothing is filtered.
     """
-    found: dict[Vec, Candidate] = {}
+    found = []
     if problem.weights and problem.effective_rank >= 1:
         subsets = problem.lattice.subset_feet(problem.effective_rank)
         for foot in dict.fromkeys(foot for _, foot in subsets):
+            if dedup and not problem.lattice.in_chamber(foot[0]):
+                continue
             cand = candidate_from_subset(problem, foot, equality)
             if cand is not None:
-                found[cand.l] = cand
-    if not dedup:
-        return tuple(found[l] for l in sorted(found))
-    kept: dict[Vec, Candidate] = {}
-    seen: set[Vec] = set()
-    for l in sorted(found):
-        if l in seen:
-            continue
-        try:
-            orbit = problem.orbit(l)
-        except ResourceError as exc:
-            if problem.constraints:  # a tree node groups even under --no-dedup
-                raise ResourceError(f"{exc} while grouping the equality candidates of a "
-                                    "signed-tree node; rerun with a larger --orbit-cap") from exc
-            raise ResourceError(f"{exc} while grouping candidates into Weyl orbits; "
-                                "rerun with --no-dedup to skip the grouping") from exc
-        seen.update(orbit)
-        representative = min(orbit)
-        # the Weyl group permutes candidates, so the minimum must be one
-        if representative not in found:
-            raise InvariantError(
-                f"Weyl image {representative} of candidate {l} was not enumerated")
-        kept[representative] = found[representative]
-    return tuple(kept[l] for l in sorted(kept))
+                found.append(cand)
+    return tuple(sorted(found, key=lambda c: c.l))
 
 
 def check_foot(problem: ValidatedProblem, cand: Candidate) -> None:

@@ -13,15 +13,14 @@ otherwise it is parsed as a catalog spec.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .engine import stratify
+from .engine import NullconeSummary, stratify
 from .oracle import check_rank2_law, compare_with_naive
-from .ratgeom import InputError, InvariantError, ResourceError, parse_int
+from .ratgeom import InputError, InvariantError, ResourceError
 from .report import (
     _reject_float,
     candidates_text,
@@ -65,13 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verify", action="store_true",
                         help="cross-check stratify output against the naive oracle")
     parser.add_argument("--no-dedup", action="store_true",
-                        help="keep one candidate per vector instead of per Weyl orbit")
-    parser.add_argument("--orbit-cap", metavar="N",
-                        help="abort Weyl orbit computations beyond N elements")
+                        help="list every candidate instead of one per Weyl orbit")
     return parser
 
 
-def load_problem(text: str, orbit_cap: Union[int, str, None] = None) -> Problem:
+def load_problem(text: str) -> Problem:
     path = Path(text)
     if path.exists():
         try:
@@ -80,13 +77,8 @@ def load_problem(text: str, orbit_cap: Union[int, str, None] = None) -> Problem:
             raise InputError(f"{text}: invalid JSON: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{text}: {getattr(exc, 'strerror', None) or exc}") from exc
-        problem = problem_from_json(data)
-    else:
-        problem = parse_catalog_spec(text)
-    if orbit_cap is not None:
-        problem = dataclasses.replace(
-            problem, orbit_cap=parse_int(orbit_cap, "--orbit-cap", 1))
-    return problem
+        return problem_from_json(data)
+    return parse_catalog_spec(text)
 
 
 def _catalog_list() -> int:
@@ -96,7 +88,8 @@ def _catalog_list() -> int:
     return 0
 
 
-def _run_verification(problem: ValidatedProblem, dedup: bool) -> int:
+def _run_verification(problem: ValidatedProblem, dedup: bool,
+                      summary: Optional[NullconeSummary] = None) -> int:
     """Print the oracle's and the rank-2 law's verdicts; return the exit code."""
     report = compare_with_naive(problem, dedup=dedup)
     ok = report.candidate_set_match
@@ -106,7 +99,7 @@ def _run_verification(problem: ValidatedProblem, dedup: bool) -> int:
         source = "subset engine" if side == "engine" else "naive scan"
         print(f"verify: l={fmt_vec(l)} found only by the {source}")
     if problem.rank == 2:
-        law = check_rank2_law(problem)
+        law = check_rank2_law(summary or problem)
         for line in law:
             print(f"verify: {line}")
         if not law:
@@ -129,7 +122,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.verify and args.command != "verify":
             raise InputError("--verify is only valid with the stratify command")
 
-    problem = validate(load_problem(args.input, args.orbit_cap))
+    problem = validate(load_problem(args.input))
     dedup = not args.no_dedup
 
     if args.command == "verify":
@@ -153,7 +146,7 @@ def _run(args: argparse.Namespace) -> int:
                 Path(path).write_text(text)
             except OSError as exc:
                 raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    return _run_verification(problem, dedup) if args.verify else 0
+    return _run_verification(problem, dedup, summary) if args.verify else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

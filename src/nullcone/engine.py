@@ -60,15 +60,14 @@ def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
         problem,
         roots=roots,
         weights=tuple((vsub(v, foot), mult) for v, mult in on),
-        weyl_generators=None,
         constraints=problem.constraints + (l,),
     )
 
 
 def equality_set(sub: ValidatedProblem,
                  cache: Optional[Cache] = None) -> tuple[Vec, ...]:
-    """Candidates of `sub` whose counting bound is an equality; the
-    enumeration tests and groups no others.
+    """Candidates of `sub` whose counting bound is an equality, one per
+    Weyl orbit; the enumeration tests no others.
 
     A restriction without roots has none, so it is not enumerated.  There
     the origin lies in the convex hull of the weights (it is the projected

@@ -14,7 +14,7 @@ from functools import cache, reduce
 from typing import Sequence, Union
 
 from .candidates import enumerate_candidates
-from .engine import stratify
+from .engine import NullconeSummary, stratify
 from .ratgeom import (
     GramSpace,
     InputError,
@@ -121,9 +121,10 @@ def rank2_non_stratifying(problem: ValidatedProblem, l: Vec) -> bool:
     return len(carried) == 2 and all(m == 1 for m in carried)
 
 
-def check_rank2_law(problem: Union[Problem, ValidatedProblem]) -> list[str]:
-    """Engine decisions versus the rank-2 law; returns disagreement lines."""
-    summary = stratify(problem)
+def check_rank2_law(solved: Union[NullconeSummary, Problem, ValidatedProblem]) -> list[str]:
+    """Engine decisions versus the rank-2 law; returns disagreement lines.
+    A summary is read as it is; a problem is stratified first."""
+    summary = solved if isinstance(solved, NullconeSummary) else stratify(solved)
     validated = summary.problem
     out = []
     for decision in summary.decisions:
@@ -139,7 +140,7 @@ Transform = tuple[str, object]
 
 
 def standard_transforms(problem: Problem) -> list[Transform]:
-    """Gram rescalings by 2, 1/3 and 7 plus every Weyl generator."""
+    """Gram rescalings by 2, 1/3 and 7 plus every root reflection."""
     transforms: list[Transform] = [("gram-scale", Q(2)), ("gram-scale", Q(1, 3)),
                                    ("gram-scale", Q(7))]
     transforms += [("weyl-generator", i)
@@ -155,8 +156,7 @@ def apply_transform(problem: Problem, transform: Transform) -> Problem:
             raise InputError(f"gram scale must be positive, got {c}")
         gram = tuple(tuple(c * x for x in row) for row in problem.space.gram)
         space = GramSpace(problem.space.rank, gram)
-        return Problem(space, problem.roots, problem.weights,
-                       problem.weyl_generators, problem.orbit_cap)
+        return Problem(space, problem.roots, problem.weights)
     if kind == "weyl-generator":
         generators = problem.generator_matrices
         index = int(arg)
@@ -168,8 +168,7 @@ def apply_transform(problem: Problem, transform: Transform) -> Problem:
                                         for alpha in problem.roots.roots)))
         weights = WeightSystem(tuple(sorted((matvec(g, v), m)
                                             for v, m in problem.weights.entries)))
-        return Problem(problem.space, roots, weights,
-                       problem.weyl_generators, problem.orbit_cap)
+        return Problem(problem.space, roots, weights)
     raise InputError(f"unknown transform kind {kind!r}")
 
 

@@ -2,8 +2,8 @@
 
 A problem is a rational space with a W-invariant positive definite form, a
 finite reduced root set closed under negation, and a finite weight multiset
-invariant under the Weyl generators.  Validation canonicalizes orderings so
-downstream reports can refer to stable indices.
+invariant under W, the group the root reflections generate.  Validation
+canonicalizes orderings so downstream reports can refer to stable indices.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ratgeom import (
     GramSpace,
@@ -90,7 +90,7 @@ def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, 
                     seen.add(y)
                     if len(seen) > cap:
                         raise ResourceError(
-                            f"orbit size exceeds orbit_cap={cap}")
+                            f"orbit size exceeds {cap} points")
                     new.append(y)
         frontier = new
     return tuple(sorted(tuple(Q(a, den) for a in nums) for nums, den in seen))
@@ -195,6 +195,19 @@ class IntegerLattice:
         return Levels(tuple(below), tuple(on), tuple(above),
                       tuple(sides[0]), tuple(sides[1]), tuple(sides[2]),
                       mult_below, mult_at_least)
+
+    @cached_property
+    def walls(self) -> tuple[IntVec, ...]:
+        """gram alpha for each lexicographically positive root alpha."""
+        zero = (0,) * len(self.gram)
+        return tuple(tuple(sum(map(mul, row, alpha)) for row in self.gram)
+                     for alpha in self.roots if alpha > zero)
+
+    def in_chamber(self, point: IntVec) -> bool:
+        """Whether <point, alpha> <= 0 for every lexicographically positive
+        root alpha: the closed anti-dominant chamber, which meets each Weyl
+        orbit in its lexicographic minimum alone."""
+        return all(sum(map(mul, point, wall)) <= 0 for wall in self.walls)
 
     def subset_feet(self, max_size: int) -> Iterator[tuple[tuple[int, ...], Foot]]:
         """Each affinely independent subset of at most `max_size` weights, in
@@ -358,14 +371,10 @@ class Problem:
     space: GramSpace
     roots: RootSystem
     weights: WeightSystem
-    weyl_generators: Optional[tuple[Matrix, ...]] = None  # None: reflections in roots
-    orbit_cap: int = DEFAULT_ORBIT_CAP
 
     @cached_property
     def generator_matrices(self) -> tuple[Matrix, ...]:
-        """The explicit Weyl generators, or else the reflections in the roots."""
-        if self.weyl_generators is not None:
-            return tuple(self.weyl_generators)
+        """The Weyl generators: the reflections in the roots."""
         return reflection_generators(self.space, self.roots.roots)
 
 
@@ -376,21 +385,16 @@ class ValidatedProblem:
     A restriction (`engine.restrict`) is one too, in ambient coordinates: its
     roots and weights are orthogonal (under the form) to every vector in
     `constraints`.  A root problem is the restriction with no constraints.
-    `weyl_generators` is None for the reflections in `roots`, built only when
-    an orbit is asked for; `validate` passes the matrices it checked.
+    The reflections in `roots` are built only when an orbit is asked for.
     """
 
     space: GramSpace
     roots: tuple[Vec, ...]
     weights: tuple[tuple[Vec, int], ...]
-    weyl_generators: Optional[tuple[Matrix, ...]] = None
-    orbit_cap: int = DEFAULT_ORBIT_CAP
     constraints: tuple[Vec, ...] = ()
 
     @cached_property
     def generator_matrices(self) -> tuple[Matrix, ...]:
-        if self.weyl_generators is not None:
-            return self.weyl_generators
         return reflection_generators(self.space, self.roots)
 
     @property
@@ -406,7 +410,7 @@ class ValidatedProblem:
         return sum(m for _, m in self.weights)
 
     def orbit(self, v: Vec) -> tuple[Vec, ...]:
-        return orbit_closure(self.generator_matrices, v, self.orbit_cap)
+        return orbit_closure(self.generator_matrices, v, DEFAULT_ORBIT_CAP)
 
     @cached_property
     def lattice(self) -> IntegerLattice:
@@ -432,8 +436,7 @@ def _direction_key(v: Vec) -> Vec:
 
 def problem_violations(problem: Problem) -> list[str]:
     out: list[str] = []
-    space = problem.space
-    rank = space.rank
+    rank = problem.space.rank
 
     roots = problem.roots.roots
     root_set = set(roots)
@@ -472,16 +475,8 @@ def problem_violations(problem: Problem) -> list[str]:
     if out:
         return out
 
-    explicit = problem.weyl_generators is not None
     weight_map = dict(entries)
     for k, g in enumerate(problem.generator_matrices):
-        if explicit:
-            if len(g) != rank or any(len(row) != rank for row in g):
-                out.append(f"generator {k} is not a {rank}x{rank} matrix")
-                continue
-            if not _is_gram_orthogonal(space, g):
-                out.append(f"generator {k} does not preserve the gram form")
-                continue
         image_roots = {matvec(g, alpha) for alpha in roots}
         if image_roots != root_set:
             out.append(f"generator {k} does not permute the root set")
@@ -489,16 +484,6 @@ def problem_violations(problem: Problem) -> list[str]:
         if image_weights != weight_map:
             out.append(f"generator {k} does not preserve the weight multiset")
     return out
-
-
-def _is_gram_orthogonal(space: GramSpace, g: Matrix) -> bool:
-    n = space.rank
-    cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if space.inner(cols[i], cols[j]) != space.gram[i][j]:
-                return False
-    return True
 
 
 def reflection_generators(space: GramSpace, roots: Iterable[Vec]) -> tuple[Matrix, ...]:
@@ -516,8 +501,6 @@ def validate(problem: Problem) -> ValidatedProblem:
         space=problem.space,
         roots=tuple(sorted(problem.roots.roots)),
         weights=tuple(sorted(problem.weights.entries)),
-        weyl_generators=problem.generator_matrices,
-        orbit_cap=problem.orbit_cap,
     )
 
 
@@ -534,38 +517,26 @@ def problem_from_json(data: dict) -> Problem:
             (entry["v"], parse_int(entry.get("mult", 1), "mult"))
             for entry in data["weights"])
         weyl = data.get("weyl", {"mode": "from_roots"})
-        if not isinstance(weyl, dict):
-            raise InputError(f"weyl must be an object, got {weyl!r}")
-        generators: Optional[tuple[Matrix, ...]] = None
-        if "generators" in weyl:
-            generators = tuple(
-                tuple(parse_vector(row) for row in g) for g in weyl["generators"])
-        elif weyl.get("mode", "from_roots") != "from_roots":
-            raise InputError(f"unknown weyl mode {weyl.get('mode')!r}")
-        cap = parse_int(data.get("orbit_cap", DEFAULT_ORBIT_CAP), "orbit_cap", 1)
+        if weyl != {"mode": "from_roots"}:
+            # G is connected, so W is the group the root reflections generate
+            raise InputError(
+                f'weyl must be absent or {{"mode": "from_roots"}}, got {weyl!r}')
     except KeyError as exc:
         raise InputError(f"problem JSON is missing key {exc}") from exc
     except TypeError as exc:
         raise InputError(f"malformed problem JSON: {exc}") from exc
-    return Problem(GramSpace(rank, gram), roots, weights, generators, cap)
+    return Problem(GramSpace(rank, gram), roots, weights)
 
 
 def problem_to_json(problem: Problem) -> dict:
-    out: dict = {
+    return {
         "rank": problem.space.rank,
         "gram": [vector_to_json(row) for row in problem.space.gram],
         "roots": [vector_to_json(r) for r in sorted(problem.roots.roots)],
         "weights": [{"v": vector_to_json(v), "mult": m}
                     for v, m in sorted(problem.weights.entries)],
+        "weyl": {"mode": "from_roots"},
     }
-    if problem.weyl_generators is None:
-        out["weyl"] = {"mode": "from_roots"}
-    else:
-        out["weyl"] = {"generators": [[vector_to_json(row) for row in g]
-                                      for g in problem.weyl_generators]}
-    if problem.orbit_cap != DEFAULT_ORBIT_CAP:
-        out["orbit_cap"] = problem.orbit_cap
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +640,6 @@ def direct_sum(p1: Problem, p2: Problem) -> Problem:
     """Outer direct sum: product group acting on the sum of the two modules."""
     if not (isinstance(p1, Problem) and isinstance(p2, Problem)):
         raise InputError("direct-sum takes two component problems")
-    if p1.weyl_generators is not None or p2.weyl_generators is not None:
-        raise InputError("direct-sum supports from_roots instances only")
     r1, r2 = p1.space.rank, p2.space.rank
     gram = tuple(
         tuple(p1.space.gram[i]) + zero_vec(r2) for i in range(r1)) + tuple(
@@ -680,8 +649,7 @@ def direct_sum(p1: Problem, p2: Problem) -> Problem:
     roots += [zero_vec(r1) + b for b in p2.roots.roots]
     pairs = [(v + zero_vec(r2), m) for v, m in p1.weights.entries]
     pairs += [(zero_vec(r1) + v, m) for v, m in p2.weights.entries]
-    return Problem(space, RootSystem.of(roots), WeightSystem.accumulate(pairs),
-                   orbit_cap=max(p1.orbit_cap, p2.orbit_cap))
+    return Problem(space, RootSystem.of(roots), WeightSystem.accumulate(pairs))
 
 
 # each catalog name with an example spec, a description, its builder and its

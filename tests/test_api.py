@@ -3,6 +3,7 @@ README documents every name in it.  Every definition in the package has a
 caller."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import nullcone
@@ -91,3 +92,20 @@ def test_every_definition_has_a_caller():
     uncalled = [qualified for qualified, name in definitions
                 if name not in referenced and qualified not in UNCALLED]
     assert uncalled == []
+
+
+
+def test_bench_tracer_installs_and_comes_off(monkeypatch):
+    """`bench/tracer.py` wraps package functions under the names their
+    callers look them up by (`engine.orbit_closure`, `candidates.perp`,
+    ...).  Deleting one of those names would make every traced benchmark
+    run fail, so a tracer is installed here and taken off again."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracer")
+    owners = [importlib.import_module(f"nullcone.{layer}") for layer in tracing.LAYERS]
+    owners.append(nullcone.GramSpace)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracer.install()  # a KeyError names a wrapped function the package lost
+    tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before

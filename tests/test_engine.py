@@ -238,6 +238,20 @@ class TestTrees:
                 assert enumerate_candidates(sub, dedup=dedup, equality=True) \
                     == tuple(c for c in every if c.levels.is_equality)
 
+    def test_chamber_representatives_are_the_orbit_minima(self):
+        # the chamber test stands in for grouping into BFS orbits: at the
+        # root and at every tree node it keeps exactly each orbit's minimum,
+        # and that minimum is always enumerated
+        roots = [validate(parse_catalog_spec(spec)) for spec in CATALOG_SPECS]
+        roots += [validate(random_problem(random.Random(seed))) for seed in range(20)]
+        for problem in roots + list(_tree_node_restrictions()):
+            for equality in (False, True):
+                every = enumerate_candidates(problem, dedup=False, equality=equality)
+                minima = {min(problem.orbit(c.l)) for c in every}
+                assert minima <= {c.l for c in every}
+                assert enumerate_candidates(problem, equality=equality) \
+                    == tuple(c for c in every if c.l in minima)
+
     def test_invariants_walk(self):
         def walk(node: SignedTree):
             plus_children = sum(1 for c in node.children if c.plus)

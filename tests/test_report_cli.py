@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from nullcone import rootdata
+from nullcone import cli, engine, oracle, rootdata
 from nullcone.cli import main
 from nullcone.engine import stratify
 from nullcone.oracle import OracleReport
@@ -278,8 +278,7 @@ class TestCli:
         assert "must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("rank", "x"), ("mult", "x"), ("orbit_cap", "x"), ("weyl", []),
-        ("orbit_cap", 0)], ids=["rank", "mult", "orbit_cap", "weyl", "orbit_cap_zero"])
+        ("rank", "x"), ("mult", "x"), ("weyl", [])], ids=["rank", "mult", "weyl"])
     def test_malformed_problem_file(self, key, value, capsys, tmp_path):
         data = problem_to_json(catalog("adjoint", ["a2"]))
         if key == "mult":
@@ -311,31 +310,33 @@ class TestCli:
         assert "error:" in err
 
     def test_resource_error_code(self, capsys):
-        assert main(["stratify", "adjoint:b2", "--orbit-cap", "3"]) == 2
-        assert main(["stratify", "adjoint:b2", "--orbit-cap", "3",
-                     "--no-dedup"]) == 0
-
-    def test_orbit_cap_in_a_tree_does_not_advise_no_dedup(self, capsys):
-        # --no-dedup is already given; the cap is hit grouping a tree node's
-        # equality candidates, which every tree does
-        assert main(["stratify", "adjoint:b3", "--no-dedup",
-                     "--orbit-cap", "3"]) == 2
-        err = capsys.readouterr().err
-        assert "larger --orbit-cap" in err and "--no-dedup" not in err
+        # adjoint b3 has 19 distinct weights, beyond the naive oracle's 16
+        assert main(["verify", "adjoint:b3"]) == 2
+        assert "exceed the naive-subset bound 16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["stratify", "gl2-ex3:2,1", "--verify"],
                                       ["verify", "gl2-ex3:2,1"]])
     def test_problem_validated_once(self, argv, capsys, monkeypatch):
         calls = []
+        solves = []
         violations = rootdata.problem_violations
 
         def counting(problem):
             calls.append(problem)
             return violations(problem)
 
+        def counting_solves(*args, **kwargs):
+            solves.append(args)
+            return stratify(*args, **kwargs)
+
         monkeypatch.setattr(rootdata, "problem_violations", counting)
+        # the rank-2 law reads the one summary; patched under every name
+        # `engine.stratify` is looked up by
+        for module in (engine, cli, oracle):
+            monkeypatch.setattr(module, "stratify", counting_solves)
         assert main(argv) == 0
         assert len(calls) == 1
+        assert len(solves) == 1
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import pytest
-from fractions import Fraction as Q
 
+from nullcone.cli import main
+from nullcone.engine import stratify
 from nullcone.ratgeom import InputError, ResourceError, make_space, parse_vector
 from nullcone.rootdata import (
     Problem,
@@ -140,20 +142,24 @@ class TestValidation:
             validate(bad)
         assert len(err.value.violations) >= 2
 
-    def test_explicit_generators_checked(self):
-        base = _valid_problem()
-        shear = ((Q(1), Q(1)), (Q(0), Q(1)))
-        bad = dataclasses.replace(base, weyl_generators=(shear,))
-        with pytest.raises(ValidationError):
-            validate(bad)
+    def test_explicit_generators_rejected(self, capsys, tmp_path):
+        # W is always the group the root reflections generate
+        data = problem_to_json(_valid_problem())
+        data["weyl"] = {"generators": [[[1, 0], [0, 1]]]}
+        path = tmp_path / "generators.json"
+        path.write_text(json.dumps(data))
+        assert main(["stratify", str(path)]) == 1
+        assert "from_roots" in capsys.readouterr().err
 
-    def test_explicit_generators_accepted(self):
-        base = _valid_problem()
-        space = make_space([[2, -1], [-1, 2]])
-        gens = tuple(reflection_matrix(space, parse_vector(a))
-                     for a in ([1, 0], [0, 1]))
-        validated = validate(dataclasses.replace(base, weyl_generators=gens))
-        assert len(validated.generator_matrices) == 2
+    def test_sl3_on_c3_plus_its_dual(self):
+        # the group the generators named used to change this answer: the
+        # identity alone gave 12 strata, the reflections and -I gave 2
+        forms = parse_catalog_spec("sl3-forms:1")
+        weights = WeightSystem.accumulate(
+            (parse_vector(v), 1) for v in ([1, 0], [0, 1], [1, 1], [-1, 0],
+                                            [0, -1], [-1, -1]))
+        summary = stratify(Problem(forms.space, forms.roots, weights))
+        assert [s.dim for s in summary.strata] == [5, 3, 3]
 
 
 class TestJson:
