@@ -86,7 +86,7 @@ def enumerate_candidates(problem: ValidatedProblem, dedup: bool = True,
     level pass and the hull LP.  Without dedup nothing is filtered.
     """
     found = []
-    if problem.weights and problem.effective_rank >= 1:
+    if problem.lattice.weights and problem.effective_rank >= 1:
         subsets = problem.lattice.subset_feet(problem.effective_rank)
         for foot in dict.fromkeys(foot for _, foot in subsets):
             if dedup and not problem.lattice.in_chamber(foot[0]):

@@ -8,85 +8,67 @@ signed tree decides whether l labels a stratum: a node is plus exactly when
 no child is plus, and l is stratifying exactly when its root is plus.
 
 Everything stays in ambient coordinates; a restriction just remembers the
-chain of constraint vectors it is orthogonal to.
+chain of constraint vectors it is orthogonal to.  It reuses the candidate's
+levels and integer foot (`IntegerLattice.restrict`): no Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .candidates import Candidate, check_foot, enumerate_candidates
-from .ratgeom import (
-    InputError,
-    InvariantError,
-    Vec,
-    is_zero_vec,
-    vscale,
-    vsub,
-)
+from .ratgeom import InputError, InvariantError, Vec
 from .rootdata import (
+    IntegerLattice,
     Problem,
     ValidatedProblem,
+    integer_point,
     orbit_closure,  # noqa: F401 (bench/tracer.py wraps it under this name)
     validate,
 )
 
-Cache = dict[tuple[tuple[Vec, ...], tuple[tuple[Vec, int], ...]], tuple[Vec, ...]]
+Cache = dict[IntegerLattice, tuple[Candidate, ...]]
 
 
-def restrict(problem: ValidatedProblem, l: Vec) -> ValidatedProblem:
-    """Restriction along a candidate l of the given problem.
-
-    On the level-1 hyperplane the projection onto {l = 0} is the translation
-    by the foot l/|l|^2.  A translation is injective and keeps lexicographic
-    order, so the restricted weights stay distinct and sorted.  The Weyl
-    group is the reflections in the surviving roots, built on demand.
-    """
-    space = problem.space
-    if is_zero_vec(l):
+def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
+    """Restriction of the given problem along its candidate `cand`; `cand.l`
+    joins the constraints.  The Weyl group is the reflections in the
+    surviving roots, built on demand."""
+    foot = integer_point(cand.perp_point)
+    if not any(foot[0]):
         raise InputError("cannot restrict along the zero vector")
-    if any(space.inner(l, c) != 0 for c in problem.constraints):
+    if not all(problem.lattice.orthogonal(foot[0], c) for c in problem.constraints):
         raise InvariantError(
-            f"restriction vector {l} is not orthogonal to the existing constraints")
+            f"restriction vector {cand.l} is not orthogonal to the existing constraints")
     if problem.effective_rank < 1:
         raise InvariantError(f"cannot restrict a problem of effective rank "
-                             f"{problem.effective_rank} along {l}")
-    levels = problem.lattice.levels(l)
-    roots = tuple(problem.roots[j] for j in levels.roots_zero)
-    foot = vscale(1 / space.norm_sq(l), l)
-    on = (problem.weights[i] for i in levels.on)
-    return replace(
-        problem,
-        roots=roots,
-        weights=tuple((vsub(v, foot), mult) for v, mult in on),
-        constraints=problem.constraints + (l,),
-    )
+                             f"{problem.effective_rank} along {cand.l}")
+    return ValidatedProblem(problem.space, problem.lattice.restrict(foot, cand.levels),
+                            problem.constraints + (cand.l,))
 
 
 def equality_set(sub: ValidatedProblem,
-                 cache: Optional[Cache] = None) -> tuple[Vec, ...]:
+                 cache: Optional[Cache] = None) -> tuple[Candidate, ...]:
     """Candidates of `sub` whose counting bound is an equality, one per
     Weyl orbit; the enumeration tests no others.
 
-    A restriction without roots has none, so it is not enumerated.  There
-    the origin lies in the convex hull of the weights (it is the projected
-    foot of the parent candidate), so every direction has a weight strictly
-    below level 1 and the equality count 0 is unreachable.
+    A restriction without roots has none, so it is not enumerated: the
+    origin lies in the convex hull of its weights (the projected foot of
+    the parent candidate), so every direction has a weight strictly below
+    level 1 and the equality count 0 is unreachable.
 
-    The memo key omits the constraint chain: enumeration only reads roots,
-    weights and the subset-size limit, and the limit never binds because a
-    saturated weight set spans at most its own affine hull.
+    The memo key is the integer lattice, without the constraint chain:
+    enumeration reads only the lattice and the subset-size limit, which
+    never binds: a saturated weight set spans at most its affine hull.
     """
-    if sub.constraints and not sub.roots:
+    key = sub.lattice
+    if sub.constraints and not key.roots:
         return ()
-    key = (sub.roots, sub.weights)
-    if cache is not None and key in cache:
-        return cache[key]
-    result = tuple(c.l for c in enumerate_candidates(sub, equality=True))
-    if cache is not None:
-        cache[key] = result
-    return result
+    cache = {} if cache is None else cache
+    if key not in cache:
+        cache[key] = enumerate_candidates(sub, equality=True)
+    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -103,16 +85,16 @@ class SignedTree:
         return 1 + max((child.depth() for child in self.children), default=0)
 
 
-def build_tree(problem: ValidatedProblem, l: Vec,
+def build_tree(problem: ValidatedProblem, cand: Candidate,
                cache: Optional[Cache] = None) -> SignedTree:
-    """The signed tree of a candidate l of `problem`."""
-    sub = restrict(problem, l)
-    children = tuple(build_tree(sub, a, cache) for a in equality_set(sub, cache))
+    """The signed tree of a candidate of `problem`."""
+    sub = restrict(problem, cand)
+    children = tuple(build_tree(sub, c, cache) for c in equality_set(sub, cache))
     plus_children = sum(1 for child in children if child.plus)
     if plus_children > 1:
-        raise InvariantError(
-            f"node {l} has {plus_children} plus children; at most one is possible")
-    return SignedTree(l, children, plus_children == 0)
+        raise InvariantError(f"node {cand.l} has {plus_children} plus children; "
+                             f"at most one is possible")
+    return SignedTree(cand.l, children, plus_children == 0)
 
 
 @dataclass(frozen=True)
@@ -180,8 +162,7 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     decisions = []
     for cand in enumerate_candidates(problem, dedup=dedup):
         check_foot(problem, cand)
-        tree = build_tree(problem, cand.l, cache)
-        decisions.append(CandidateDecision(cand, tree))
+        decisions.append(CandidateDecision(cand, build_tree(problem, cand, cache)))
     reports = [stratum_report(problem, d.candidate)
                for d in decisions if d.stratifying]
     strata = tuple(sorted(reports, key=lambda s: (-s.dim, s.l)))
@@ -189,8 +170,7 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     if dedup and open_count > 1:
         raise InvariantError(f"{open_count} open strata; at most one is possible")
     dim_nullcone = max((s.dim for s in strata), default=0)
-    max_indices = tuple(i for i, s in enumerate(strata) if s.dim == dim_nullcone) \
-        if strata else ()
+    max_indices = tuple(i for i, s in enumerate(strata) if s.dim == dim_nullcone)
     return NullconeSummary(
         problem=problem,
         decisions=tuple(decisions),

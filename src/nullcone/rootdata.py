@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -74,8 +74,7 @@ def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, 
     """
     scale = _common_denominator(q for g in generators for row in g for q in row)
     matrices = [tuple(_scaled(row, scale) for row in g) for g in generators]
-    den = _common_denominator(v)
-    start = (_scaled(v, den), den)
+    start = integer_point(v)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -110,6 +109,12 @@ def _common_denominator(values: Iterable[Q]) -> int:
 def _scaled(v: Vec, den: int) -> IntVec:
     """The integer vector den * v, for a common denominator den of v."""
     return tuple(q.numerator * (den // q.denominator) for q in v)
+
+
+def integer_point(v: Vec) -> Foot:
+    """v as (point, den) in lowest terms, den > 0."""
+    den = _common_denominator(v)
+    return _scaled(v, den), den
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,9 @@ class Levels:
 class IntegerLattice:
     """A problem's data with its denominators cleared once.
 
-    The form is gram / gram_den and weight i is weights[i] / weight_den;
-    roots[j] is a positive multiple of root j.  Every entry is a Python int,
-    so level tests and feet need no Fraction arithmetic.
+    The form is gram / gram_den, weight i is weights[i] / weight_den and
+    root j is roots[j] / root_den, with least common denominators.  Every
+    entry is a Python int, so the kernel needs no Fraction arithmetic.
     """
 
     gram: tuple[IntVec, ...]
@@ -163,6 +168,7 @@ class IntegerLattice:
     weight_den: int
     mults: tuple[int, ...]
     roots: tuple[IntVec, ...]
+    root_den: int
 
     def levels(self, l: Vec) -> Levels:
         """Sort the weights and roots against l in one integer pass.
@@ -172,8 +178,7 @@ class IntegerLattice:
         """
         if len(l) != len(self.gram):
             raise InputError(f"vector {l} has length {len(l)}, expected {len(self.gram)}")
-        den = _common_denominator(l)
-        nums = _scaled(l, den)
+        nums, den = integer_point(l)
         c = tuple(sum(map(mul, row, nums)) for row in self.gram)
         one = den * self.gram_den * self.weight_den
         below: list[int] = []
@@ -265,6 +270,27 @@ class IntegerLattice:
         scale = self.gram_den * den
         return tuple(Q(a * scale, norm) for a in point)
 
+    def orthogonal(self, point: IntVec, v: Vec) -> bool:
+        """Whether <point, v> = 0, in integers."""
+        nums, _ = integer_point(v)
+        return not sum(a * sum(map(mul, row, nums)) for a, row in zip(point, self.gram))
+
+    def restrict(self, foot: Foot, levels: Levels) -> "IntegerLattice":
+        """The restriction along l from its foot l/|l|^2 = point / den and its
+        levels: the roots on {l = 0}, and the level-1 weights minus the foot
+        (there the projection onto {l = 0}; it keeps them distinct, sorted)."""
+        point, den = foot
+        scale = math.lcm(self.weight_den, den)
+        a, b = scale // self.weight_den, scale // den
+        moved = [[a * x - b * y for x, y in zip(self.weights[i], point)] for i in levels.on]
+        g = math.gcd(scale, *(x for w in moved for x in w))
+        roots = [self.roots[j] for j in levels.roots_zero]
+        h = math.gcd(self.root_den, *(x for alpha in roots for x in alpha))
+        return replace(self, weights=tuple(tuple(x // g for x in w) for w in moved),
+                       weight_den=scale // g, mults=tuple(self.mults[i] for i in levels.on),
+                       roots=tuple(tuple(x // h for x in alpha) for alpha in roots),
+                       root_den=self.root_den // h)
+
     def hull_contains(self, point: IntVec, den: int, members: Sequence[int]) -> bool:
         """Whether point / den lies in the convex hull of the weights `members`.
 
@@ -334,6 +360,7 @@ def integer_lattice(space: GramSpace, roots: Sequence[Vec],
         weight_den=weight_den,
         mults=tuple(m for _, m in weights),
         roots=tuple(_scaled(alpha, root_den) for alpha in roots),
+        root_den=root_den,
     )
 
 
@@ -380,18 +407,30 @@ class Problem:
 
 @dataclass(frozen=True)
 class ValidatedProblem:
-    """A checked instance with canonical (sorted) root and weight orderings.
+    """A checked instance: a form, and sorted roots and weights as a lattice.
 
     A restriction (`engine.restrict`) is one too, in ambient coordinates: its
     roots and weights are orthogonal (under the form) to every vector in
     `constraints`.  A root problem is the restriction with no constraints.
-    The reflections in `roots` are built only when an orbit is asked for.
+    `validate` sets the Fraction `roots` and `weights` to its input, and a
+    restriction reads them from its lattice on first use.  The reflections
+    in `roots` are built only when an orbit is asked for.
     """
 
     space: GramSpace
-    roots: tuple[Vec, ...]
-    weights: tuple[tuple[Vec, int], ...]
+    lattice: IntegerLattice
     constraints: tuple[Vec, ...] = ()
+
+    @cached_property
+    def roots(self) -> tuple[Vec, ...]:
+        den = self.lattice.root_den
+        return tuple(tuple(Q(a, den) for a in alpha) for alpha in self.lattice.roots)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Vec, int], ...]:
+        den = self.lattice.weight_den
+        return tuple((tuple(Q(a, den) for a in w), m)
+                     for w, m in zip(self.lattice.weights, self.lattice.mults))
 
     @cached_property
     def generator_matrices(self) -> tuple[Matrix, ...]:
@@ -411,10 +450,6 @@ class ValidatedProblem:
 
     def orbit(self, v: Vec) -> tuple[Vec, ...]:
         return orbit_closure(self.generator_matrices, v, DEFAULT_ORBIT_CAP)
-
-    @cached_property
-    def lattice(self) -> IntegerLattice:
-        return integer_lattice(self.space, self.roots, self.weights)
 
 
 class ValidationError(Exception):
@@ -497,11 +532,12 @@ def validate(problem: Problem) -> ValidatedProblem:
     bad = problem_violations(problem)
     if bad:
         raise ValidationError(bad)
-    return ValidatedProblem(
-        space=problem.space,
-        roots=tuple(sorted(problem.roots.roots)),
-        weights=tuple(sorted(problem.weights.entries)),
-    )
+    roots = tuple(sorted(problem.roots.roots))
+    weights = tuple(sorted(problem.weights.entries))
+    valid = ValidatedProblem(problem.space, integer_lattice(problem.space, roots, weights))
+    # the input itself: the Fraction references never read the integer kernel
+    vars(valid).update(roots=roots, weights=weights)
+    return valid
 
 
 # ---------------------------------------------------------------------------

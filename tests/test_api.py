@@ -7,6 +7,7 @@ import importlib
 from pathlib import Path
 
 import nullcone
+from nullcone.cli import load_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,13 +100,33 @@ def test_bench_tracer_installs_and_comes_off(monkeypatch):
     """`bench/tracer.py` wraps package functions under the names their
     callers look them up by (`engine.orbit_closure`, `candidates.perp`,
     ...).  Deleting one of those names would make every traced benchmark
-    run fail, so a tracer is installed here and taken off again."""
+    run fail, so a tracer is installed here and taken off again.  It also
+    reads the arguments of the tree functions it wraps (a restriction's
+    `constraints`), so one traced qubits4 `stratify` must count the tree
+    work it always has."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracer")
     owners = [importlib.import_module(f"nullcone.{layer}") for layer in tracing.LAYERS]
     owners.append(nullcone.GramSpace)
     before = [dict(vars(owner)) for owner in owners]
+    problem = nullcone.validate(load_problem(str(ROOT / "bench" / "problems" / "qubits4.json")))
     tracer = tracing.Tracer()
     tracer.install()  # a KeyError names a wrapped function the package lost
-    tracer.uninstall()
+    try:
+        nullcone.stratify(problem)
+    finally:
+        tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+    counters = tracer.counters()
+    assert {name: counters[name] for name in TRACED_QUBITS4} == TRACED_QUBITS4
+
+
+# the tracer's tree counters on one qubits4 `stratify`
+TRACED_QUBITS4 = {
+    "engine.tree.nodes": 38,
+    "engine.restrict.calls": 38,
+    "engine.equality_set.calls": 38,
+    "engine.equality_set.enumerations": 18,
+    "candidates.enumerate.calls": 19,
+    "candidates.kept": 34,
+}

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction as Q
 from pathlib import Path
 
-from nullcone import candidates, rootdata
+from nullcone import candidates, engine, rootdata
 from nullcone.candidates import (
     candidate_from_subset,
     check_foot,
@@ -15,6 +15,7 @@ from nullcone.cli import load_problem
 from nullcone.engine import stratify
 from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
+    GramSpace,
     InvariantError,
     is_zero_vec,
     make_space,
@@ -29,6 +30,7 @@ from nullcone.rootdata import (
     ValidatedProblem,
     WeightSystem,
     catalog,
+    integer_lattice,
     parse_catalog_spec,
     validate,
 )
@@ -113,11 +115,9 @@ class TestCandidateFromSubset:
         # reflection symmetry makes the bound hold on any problem `validate` accepts,
         # so the rejection branch only ever fires inside restrictions; build
         # one of those by hand
-        sub = ValidatedProblem(
-            space=make_space([[1]]),
-            roots=(parse_vector([-2]), parse_vector([2])),
-            weights=((parse_vector([1]), 1),),
-        )
+        space = make_space([[1]])
+        sub = ValidatedProblem(space, integer_lattice(
+            space, [parse_vector([-2]), parse_vector([2])], [(parse_vector([1]), 1)]))
         levels = _levels(sub, [1])
         assert levels.roots_negative == (0,) and levels.mult_below == 0
         assert not levels.holds
@@ -255,25 +255,41 @@ def test_root_level_work_counts(monkeypatch, source, counts):
 
 
 @pytest.mark.parametrize("source, counts", [
-    ("qubits3.json", (11, 0, 0)),
-    ("qubits4.json", (38, 0, 0)),
-    ("sl3-forms:6", (33, 0, 0)),
+    ("qubits3.json", (11, 0, 0, 20, 0, 0)),
+    ("qubits4.json", (38, 0, 0, 152, 0, 0)),
+    ("sl3-forms:6", (33, 0, 0, 42, 0, 0)),
 ])
 def test_tree_level_work_counts(monkeypatch, source, counts):
-    """One `stratify`'s (hull LPs, Weyl orbits, reflection sets built).  The
-    hull LP runs only on feet in the anti-dominant chamber, at the root and
-    at every tree node, so dedup needs no orbit and no reflection: these
-    stay far below the (40, 11, 3), (360, 38, 4) and (176, 33, 1) of
-    grouping each node's equality candidates into orbits."""
+    """One `stratify`'s (hull LPs, Weyl orbits, reflection sets built, level
+    passes, lattices built by `integer_lattice`, `GramSpace.inner` calls
+    outside `check_foot`).  The hull LP runs only on feet in the
+    anti-dominant chamber, at the root and at every tree node, so dedup
+    needs no orbit and no reflection: these stay far below the (40, 11, 3),
+    (360, 38, 4) and (176, 33, 1) of grouping each node's equality
+    candidates into orbits.  A restriction reuses its candidate's levels and
+    integer foot, so the last three stay below the (31, 6, 14),
+    (190, 18, 42) and (75, 6, 34) of restricting along l in Fractions and
+    clearing the denominators again."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    calls = {"hull": 0, "orbit": 0, "reflections": 0}
+    calls = dict.fromkeys(["hull", "orbit", "reflections", "levels", "lattice", "inner"], 0)
+    checking = []
 
     def counted(key, fn):
         def wrapper(*args):
-            calls[key] += 1
+            calls[key] += not checking
             return fn(*args)
         return wrapper
+
+    check = engine.check_foot
+
+    def check_foot(*args):
+        # its Fraction `perp` is the kernel's independent check
+        checking.append(True)
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
 
     monkeypatch.setattr(IntegerLattice, "hull_contains",
                         counted("hull", IntegerLattice.hull_contains))
@@ -281,5 +297,10 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
                         counted("orbit", rootdata.orbit_closure))
     monkeypatch.setattr(rootdata, "reflection_generators",
                         counted("reflections", rootdata.reflection_generators))
+    monkeypatch.setattr(IntegerLattice, "levels", counted("levels", IntegerLattice.levels))
+    monkeypatch.setattr(rootdata, "integer_lattice",
+                        counted("lattice", rootdata.integer_lattice))
+    monkeypatch.setattr(GramSpace, "inner", counted("inner", GramSpace.inner))
+    monkeypatch.setattr(engine, "check_foot", check_foot)
     stratify(problem)
-    assert (calls["hull"], calls["orbit"], calls["reflections"]) == counts
+    assert tuple(calls.values()) == counts

@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction as Q
 
 from nullcone import engine, rootdata
-from nullcone.candidates import enumerate_candidates
+from nullcone.candidates import Candidate, enumerate_candidates
 from nullcone.engine import (
     SignedTree,
     build_tree,
@@ -20,15 +20,28 @@ from nullcone.engine import (
     stratum_report,
 )
 from nullcone.oracle import compare_with_naive, random_problem
-from nullcone.ratgeom import InputError, InvariantError, parse_vector
-from nullcone.rootdata import IntegerLattice, catalog, parse_catalog_spec, validate
+from nullcone.ratgeom import InputError, InvariantError, parse_vector, vscale, vsub
+from nullcone.rootdata import (
+    IntegerLattice,
+    catalog,
+    integer_lattice,
+    parse_catalog_spec,
+    validate,
+)
 
 from conftest import CATALOG_SPECS
 
 
+def _candidate(problem, l):
+    """The candidate of `problem` with direction l, orbit mates included."""
+    (cand,) = [c for c in enumerate_candidates(problem, dedup=False)
+               if c.l == parse_vector(l)]
+    return cand
+
+
 def _sub(spec, l):
     problem = validate(parse_catalog_spec(spec))
-    return restrict(problem, parse_vector(l))
+    return restrict(problem, _candidate(problem, l))
 
 
 class TestRestrict:
@@ -57,14 +70,9 @@ class TestRestrict:
         # on the level-1 slice the projection onto {l = 0} subtracts the foot
         # l/|l|^2, so the restricted weights stay distinct and sorted; checked
         # against the projection formula at every tree node
-        problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
-        problems += [random_problem(random.Random(seed)) for seed in range(20)]
         nodes = 0
-
-        def walk(problem, node):
-            nonlocal nodes
-            space, l = problem.space, node.l
-            sub = restrict(problem, l)
+        for problem, cand, sub in _tree_nodes():
+            space, l = problem.space, cand.l
             projected = [
                 (tuple(a - space.inner(l, v) / space.norm_sq(l) * b
                        for a, b in zip(v, l)), mult)
@@ -73,24 +81,36 @@ class TestRestrict:
             points = [v for v, _ in sub.weights]
             assert points == sorted(set(points))
             nodes += 1
-            for child in node.children:
-                walk(sub, child)
+        assert nodes > len(CATALOG_SPECS) + 20
 
-        for problem in problems:
-            summary = stratify(problem)
-            for decision in summary.decisions:
-                walk(summary.problem, decision.tree)
-        assert nodes > len(problems)
+    def test_lattice_is_the_fraction_restriction(self):
+        # the Fraction definition of a restriction, which the integer one
+        # replaced: the roots orthogonal to l, and the level-1 weights minus
+        # the foot l/|l|^2, with the denominators cleared afterwards
+        nodes = 0
+        for problem, cand, sub in _tree_nodes():
+            space, l = problem.space, cand.l
+            foot = vscale(1 / space.norm_sq(l), l)
+            roots = tuple(a for a in problem.roots if space.inner(l, a) == 0)
+            weights = tuple((vsub(v, foot), m) for v, m in problem.weights
+                            if space.inner(l, v) == 1)
+            assert sub.lattice == integer_lattice(space, roots, weights)
+            assert (sub.roots, sub.weights) == (roots, weights)
+            assert sub.constraints == problem.constraints + (l,)
+            nodes += 1
+        assert nodes > len(CATALOG_SPECS) + 20
 
     def test_zero_vector_rejected(self):
         problem = validate(catalog("adjoint", ["a1"]))
+        zero = parse_vector([0])
         with pytest.raises(InputError):
-            restrict(problem, parse_vector([0]))
+            restrict(problem, Candidate(zero, zero, problem.lattice.levels(zero)))
 
     def test_non_orthogonal_vector_raises(self):
-        sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
+        problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
+        sub = restrict(problem, _candidate(problem, ["1/3", "1/3"]))
         with pytest.raises(InvariantError, match="not orthogonal"):
-            restrict(sub, parse_vector([1, 0]))
+            restrict(sub, _candidate(problem, [0, "1/2"]))
 
     def test_effective_rank_zero_raises(self):
         # two constraints in rank 2 leave nothing to restrict
@@ -99,7 +119,7 @@ class TestRestrict:
         sub = dataclasses.replace(problem, constraints=(c, c))
         assert sub.effective_rank == 0
         with pytest.raises(InvariantError, match="effective rank 0"):
-            restrict(sub, parse_vector(["1/3", "1/3"]))
+            restrict(sub, _candidate(problem, ["1/3", "1/3"]))
 
     def test_invariants_hold_under_optimize(self):
         # `python -O` strips asserts; the restriction and tree checks must
@@ -107,20 +127,22 @@ class TestRestrict:
         # plus children.
         script = textwrap.dedent("""
             from nullcone import engine
+            from nullcone.candidates import enumerate_candidates
             from nullcone.ratgeom import InvariantError, parse_vector
             from nullcone.rootdata import parse_catalog_spec, validate
             assert False, "asserts are live"
             problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-            l = parse_vector(["1/3", "1/3"])
-            sub = engine.restrict(problem, l)
+            found = {c.l: c for c in enumerate_candidates(problem, dedup=False)}
+            cand = found[parse_vector(["1/3", "1/3"])]
+            sub = engine.restrict(problem, cand)
             try:
-                engine.restrict(sub, parse_vector([1, 0]))
+                engine.restrict(sub, found[parse_vector([0, "1/2"])])
             except InvariantError:
                 print("raised")
             equality_set = engine.equality_set
             engine.equality_set = lambda sub, cache=None: equality_set(sub, cache) * 2
             try:
-                engine.build_tree(problem, l)
+                engine.build_tree(problem, cand)
             except InvariantError as exc:
                 print("raised:", "plus children" in str(exc))
         """)
@@ -142,7 +164,7 @@ class TestRestrict:
         # every build, whatever name it is called by, goes through reflection_matrix
         monkeypatch.setattr(rootdata, "reflection_generators", unbuildable)
         monkeypatch.setattr(rootdata, "reflection_matrix", unbuildable)
-        subs = [restrict(problem, c.l) for c in enumerate_candidates(problem)]
+        subs = [restrict(problem, c) for c in enumerate_candidates(problem)]
         monkeypatch.undo()
         assert any(sub.roots for sub in subs)
         for sub in subs:
@@ -161,7 +183,7 @@ class TestRestrict:
 class TestEqualitySet:
     def test_gl2_sub(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
-        assert equality_set(sub) == (parse_vector([-1, 1]),)
+        assert [c.l for c in equality_set(sub)] == [parse_vector([-1, 1])]
 
     def test_rootless_restriction_not_enumerated(self, monkeypatch):
         sub = _sub("torus:1,0|0,1|1,1", ["1/2", "1/2"])
@@ -177,32 +199,40 @@ class TestEqualitySet:
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
         cache = {}
         first = equality_set(sub, cache)
-        assert cache
+        assert list(cache) == [sub.lattice]
         assert equality_set(sub, cache) == first
 
 
-def _tree_node_restrictions():
-    """The restriction at every signed-tree node of the catalog specs and of
-    20 random problems."""
+def _tree_nodes():
+    """(problem, candidate, restriction along it) at every signed-tree node
+    of the catalog specs and of 20 random problems.  A node's children are
+    the equality set of its restriction, in order."""
     problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
     problems += [random_problem(random.Random(seed)) for seed in range(20)]
 
-    def walk(problem, node):
-        sub = restrict(problem, node.l)
-        yield sub
-        for child in node.children:
-            yield from walk(sub, child)
+    def walk(problem, cand, node):
+        sub = restrict(problem, cand)
+        yield problem, cand, sub
+        children = equality_set(sub)
+        assert [c.l for c in children] == [child.l for child in node.children]
+        for child_cand, child in zip(children, node.children):
+            yield from walk(sub, child_cand, child)
 
     for problem in problems:
         summary = stratify(problem)
         for decision in summary.decisions:
-            yield from walk(summary.problem, decision.tree)
+            yield from walk(summary.problem, decision.candidate, decision.tree)
+
+
+def _tree_node_restrictions():
+    """The restriction at every node of `_tree_nodes`."""
+    return (sub for _, _, sub in _tree_nodes())
 
 
 class TestTrees:
     def test_gl2_tree_shape(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-        tree = build_tree(problem, parse_vector(["1/3", "1/3"]))
+        tree = build_tree(problem, _candidate(problem, ["1/3", "1/3"]))
         assert tree.sign == "-"
         assert len(tree.children) == 1
         child = tree.children[0]
@@ -215,7 +245,7 @@ class TestTrees:
         for spec in ("g2-adjoint", "sl3-forms:4", "gl2-ex3:2,0"):
             summary = stratify(parse_catalog_spec(spec))
             for decision in summary.decisions:
-                assert build_tree(summary.problem, decision.candidate.l).plus \
+                assert build_tree(summary.problem, decision.candidate).plus \
                     == decision.stratifying
 
     def test_rootless_restrictions_have_no_equality_candidates(self):
