@@ -20,9 +20,19 @@ from nullcone.engine import (
     stratum_report,
 )
 from nullcone.oracle import compare_with_naive, random_problem
-from nullcone.ratgeom import InputError, InvariantError, parse_vector, vscale, vsub
+from nullcone.ratgeom import (
+    InputError,
+    InvariantError,
+    make_space,
+    parse_vector,
+    vscale,
+    vsub,
+)
 from nullcone.rootdata import (
     IntegerLattice,
+    Problem,
+    RootSystem,
+    WeightSystem,
     catalog,
     integer_lattice,
     parse_catalog_spec,
@@ -84,12 +94,13 @@ class TestRestrict:
         assert nodes > len(CATALOG_SPECS) + 20
 
     def test_lattice_is_the_fraction_restriction(self):
-        # the Fraction definition of a restriction, which the integer one
-        # replaced: the roots orthogonal to l, and the level-1 weights minus
-        # the foot l/|l|^2, with the denominators cleared afterwards
-        nodes = 0
+        # the reference is the Fraction definition of a restriction: the
+        # roots orthogonal to l, and the level-1 weights minus the foot
+        # l/|l|^2, with the denominators cleared afterwards
+        nodes = dropped = 0
         for problem, cand, sub in _tree_nodes():
             space, l = problem.space, cand.l
+            dropped += sub.lattice.root_den < problem.lattice.root_den
             foot = vscale(1 / space.norm_sq(l), l)
             roots = tuple(a for a in problem.roots if space.inner(l, a) == 0)
             weights = tuple((vsub(v, foot), m) for v, m in problem.weights
@@ -98,7 +109,7 @@ class TestRestrict:
             assert (sub.roots, sub.weights) == (roots, weights)
             assert sub.constraints == problem.constraints + (l,)
             nodes += 1
-        assert nodes > len(CATALOG_SPECS) + 20
+        assert nodes > len(CATALOG_SPECS) + 20 and dropped
 
     def test_zero_vector_rejected(self):
         problem = validate(catalog("adjoint", ["a1"]))
@@ -203,12 +214,22 @@ class TestEqualitySet:
         assert equality_set(sub, cache) == first
 
 
+def _half_root_a1_a1():
+    """A1 x A1 with roots ±(1/2, 0) and ±(0, 1): restricting along (±2, 0)
+    keeps ±(0, 1) alone, so the roots' common denominator drops to 1."""
+    return Problem(make_space([[1, 0], [0, 1]]),
+                   RootSystem.of([["1/2", 0], ["-1/2", 0], [0, 1], [0, -1]]),
+                   WeightSystem.accumulate([(["1/2", 0], 1), (["-1/2", 0], 1),
+                                            ([0, 1], 1), ([0, -1], 1), ([0, 0], 2)]))
+
+
 def _tree_nodes():
     """(problem, candidate, restriction along it) at every signed-tree node
-    of the catalog specs and of 20 random problems.  A node's children are
-    the equality set of its restriction, in order."""
+    of the catalog specs, of 20 random problems and of `_half_root_a1_a1`.
+    A node's children are the equality set of its restriction, in order."""
     problems = [parse_catalog_spec(spec) for spec in CATALOG_SPECS]
     problems += [random_problem(random.Random(seed)) for seed in range(20)]
+    problems.append(_half_root_a1_a1())
 
     def walk(problem, cand, node):
         sub = restrict(problem, cand)
