@@ -2,7 +2,7 @@
 
 A problem is a reduced root system, a rational Weyl-invariant positive
 definite form, and a finite set of weights with multiplicities.  The package
-enumerates the candidate linear functionals, decides which of them cut out a
+enumerates the candidate linear forms, decides which of them cut out a
 stratum, and assembles dimensions and supports of the resulting
 stratification, all in exact rational arithmetic.
 """

@@ -33,8 +33,8 @@ Cache = dict[IntegerLattice, tuple[Candidate, ...]]
 
 def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
     """Restriction of the given problem along its candidate `cand`; `cand.l`
-    joins the constraints.  The Weyl group is the reflections in the
-    surviving roots, built on demand."""
+    joins the constraints.  The Weyl group is the one the surviving roots
+    generate."""
     foot = integer_point(cand.perp_point)
     if not any(foot[0]):
         raise InputError("cannot restrict along the zero vector")
@@ -80,9 +80,6 @@ class SignedTree:
     @property
     def sign(self) -> str:
         return "+" if self.plus else "-"
-
-    def depth(self) -> int:
-        return 1 + max((child.depth() for child in self.children), default=0)
 
 
 def build_tree(problem: ValidatedProblem, cand: Candidate,

@@ -18,7 +18,6 @@ from .engine import NullconeSummary, stratify
 from .ratgeom import (
     GramSpace,
     InputError,
-    Matrix,
     Q,
     ResourceError,
     Vec,
@@ -36,8 +35,8 @@ from .rootdata import (
     WeightSystem,
     catalog,
     direct_sum,
-    matvec,
     orbit_closure,
+    reflect,
     validate,
 )
 
@@ -139,12 +138,18 @@ def check_rank2_law(solved: Union[NullconeSummary, Problem, ValidatedProblem]) -
 Transform = tuple[str, object]
 
 
+def _positive_roots(problem: Problem) -> list[Vec]:
+    """The lexicographically positive roots: one per reflection."""
+    zero = zero_vec(problem.space.rank)
+    return [alpha for alpha in problem.roots.roots if alpha > zero]
+
+
 def standard_transforms(problem: Problem) -> list[Transform]:
-    """Gram rescalings by 2, 1/3 and 7 plus every root reflection."""
+    """Gram rescalings by 2, 1/3 and 7 plus every root reflection, indexed
+    into the lexicographically positive roots."""
     transforms: list[Transform] = [("gram-scale", Q(2)), ("gram-scale", Q(1, 3)),
                                    ("gram-scale", Q(7))]
-    transforms += [("weyl-generator", i)
-                   for i in range(len(problem.generator_matrices))]
+    transforms += [("weyl-generator", i) for i in range(len(_positive_roots(problem)))]
     return transforms
 
 
@@ -158,17 +163,17 @@ def apply_transform(problem: Problem, transform: Transform) -> Problem:
         space = GramSpace(problem.space.rank, gram)
         return Problem(space, problem.roots, problem.weights)
     if kind == "weyl-generator":
-        generators = problem.generator_matrices
+        positive = _positive_roots(problem)
         index = int(arg)
-        if not 0 <= index < len(generators):
+        if not 0 <= index < len(positive):
             raise InputError(
-                f"generator index {index} out of range for {len(generators)} generators")
-        g = generators[index]
-        roots = RootSystem(tuple(sorted(matvec(g, alpha)
-                                        for alpha in problem.roots.roots)))
-        weights = WeightSystem(tuple(sorted((matvec(g, v), m)
+                f"generator index {index} out of range for {len(positive)} generators")
+        space, alpha = problem.space, positive[index]
+        roots = RootSystem(tuple(sorted(reflect(space, alpha, beta)
+                                        for beta in problem.roots.roots)))
+        weights = WeightSystem(tuple(sorted((reflect(space, alpha, v), m)
                                             for v, m in problem.weights.entries)))
-        return Problem(problem.space, roots, weights)
+        return Problem(space, roots, weights)
     raise InputError(f"unknown transform kind {kind!r}")
 
 
@@ -206,12 +211,10 @@ _RANK2_TEMPLATES = ("a1+a1", "a2", "b2", "g2")
 
 
 @cache
-def _template(name: str) -> tuple[GramSpace, tuple[Vec, ...], tuple[Matrix, ...]]:
-    """The form, roots and root reflections of a "+"-joined sum of adjoint
-    types.  A reflection does not change when the form is scaled."""
+def _template(name: str) -> tuple[GramSpace, tuple[Vec, ...]]:
+    """The form and roots of a "+"-joined sum of adjoint types."""
     problem = reduce(direct_sum, (catalog("adjoint", [t]) for t in name.split("+")))
-    roots = problem.roots.roots
-    return problem.space, roots, problem.generator_matrices
+    return problem.space, problem.roots.roots
 
 
 def random_gram(rng: random.Random, rank: int) -> tuple[Vec, ...]:
@@ -250,7 +253,7 @@ def random_problem(rng: random.Random, max_distinct: int = 12,
         return _force_rank(random_torus_problem(rng, max_rank=2), 2, rng)
     if not rank2_only and rng.random() < 0.2:
         return random_torus_problem(rng)
-    space, roots, reflections = _template(
+    space, roots = _template(
         rng.choice(_RANK2_TEMPLATES if rank2_only else _TEMPLATES))
     scale = rng.choice([Q(1), Q(2), Q(1, 2), Q(3)])
     if scale != 1:
@@ -260,7 +263,7 @@ def random_problem(rng: random.Random, max_distinct: int = 12,
     covered: set[Vec] = set()
     for _ in range(rng.randint(1, 3)):
         seed = tuple(Q(rng.randint(-2, 2)) for _ in range(space.rank))
-        orbit = orbit_closure(reflections, seed, 10 ** 4)
+        orbit = orbit_closure(space, roots, seed, 10 ** 4)
         if any(v in covered for v in orbit):
             continue
         if len(covered) + len(orbit) > max_distinct:

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 Q = Fraction
 Vec = tuple[Q, ...]
-Matrix = tuple[Vec, ...]
 
 
 class InputError(ValueError):
@@ -104,11 +103,6 @@ def zero_vec(rank: int) -> Vec:
     return (Q(0),) * rank
 
 
-def dot(u: Vec, v: Vec) -> Q:
-    """Plain coordinate dot product (no Gram form)."""
-    return sum((a * b for a, b in zip(u, v)), Q(0))
-
-
 # ---------------------------------------------------------------------------
 # Gram form
 
@@ -151,7 +145,7 @@ class GramSpace:
     """A rational vector space of fixed rank with a positive definite form."""
 
     rank: int
-    gram: Matrix
+    gram: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
         if len(self.gram) != self.rank:
@@ -175,12 +169,6 @@ class GramSpace:
                 row = self.gram[i]
                 total += ui * sum((row[j] * vj for j, vj in enumerate(v) if vj), Q(0))
         return total
-
-    def functional(self, l: Vec) -> Vec:
-        """The covector gram*l, so that inner(l, v) == dot(functional(l), v)."""
-        self.check_dim(l)
-        return tuple(sum((row[j] * lj for j, lj in enumerate(l) if lj), Q(0))
-                     for row in self.gram)
 
     def norm_sq(self, v: Vec) -> Q:
         return self.inner(v, v)

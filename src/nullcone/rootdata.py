@@ -19,11 +19,9 @@ from .ratgeom import (
     GramSpace,
     InputError,
     InvariantError,
-    Matrix,
     Q,
     ResourceError,
     Vec,
-    dot,
     is_zero_vec,
     parse_int,
     parse_rational,
@@ -48,43 +46,54 @@ def reflect(space: GramSpace, alpha: Vec, v: Vec) -> Vec:
     return vsub(v, vscale(c, alpha)) if c else v
 
 
-def reflection_matrix(space: GramSpace, alpha: Vec) -> Matrix:
-    """The reflection in alpha as a matrix acting on column vectors."""
-    if is_zero_vec(alpha):
-        raise InputError("cannot reflect in the zero vector")
-    w = space.functional(alpha)
-    scale = Q(2) / space.norm_sq(alpha)
-    n = space.rank
-    return tuple(
-        tuple((Q(1) if i == j else Q(0)) - scale * alpha[i] * w[j]
-              for j in range(n))
-        for i in range(n))
+def _mirrors(space: GramSpace,
+             roots: Iterable[Vec]) -> dict[Vec, tuple[IntVec, IntVec, int]]:
+    """The reflections in `roots`, one per line, keyed by the line's first
+    root: (a, c, n), where a is the primitive integer vector on the line
+    with its first nonzero entry positive, c = G a for the form G cleared
+    of denominators, and n = a . c."""
+    den = _common_denominator(q for row in space.gram for q in row)
+    gram = [_scaled(row, den) for row in space.gram]
+    lines: set[IntVec] = set()
+    out = {}
+    for alpha in roots:
+        if is_zero_vec(alpha):
+            raise InputError("cannot reflect in the zero vector")
+        a, _ = integer_point(alpha)
+        g = math.gcd(*a) if a > (0,) * len(a) else -math.gcd(*a)
+        a = tuple(x // g for x in a)
+        if a not in lines:
+            lines.add(a)
+            c = tuple(sum(map(mul, row, a)) for row in gram)
+            out[alpha] = a, c, sum(map(mul, c, a))
+    return out
 
 
-def matvec(m: Matrix, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
+def _reflected(mirror: tuple[IntVec, IntVec, int], point: Foot) -> Foot:
+    """The reflection of nums / den: (n nums - 2 (c . nums) a) / (n den), in
+    lowest terms.  Positive scales of a and of c cancel."""
+    a, c, n = mirror
+    nums, den = point
+    t = 2 * sum(map(mul, c, nums))
+    image = [n * x - t * y for x, y in zip(nums, a)]
+    k = math.gcd(n * den, *image)
+    return tuple(x // k for x in image), n * den // k
 
 
-def orbit_closure(generators: Sequence[Matrix], v: Vec, cap: int) -> tuple[Vec, ...]:
-    """BFS closure of v under the generator matrices, capped at `cap` points.
-
-    The BFS runs on integers.  The generators' denominators are cleared once,
-    g = G / D, and each point x = nums / den is kept as the pair (nums, den)
-    in lowest terms, so g x = (G nums) / (D den) up to one gcd.
-    """
-    scale = _common_denominator(q for g in generators for row in g for q in row)
-    matrices = [tuple(_scaled(row, scale) for row in g) for g in generators]
+def orbit_closure(space: GramSpace, roots: Iterable[Vec], v: Vec,
+                  cap: int) -> tuple[Vec, ...]:
+    """BFS closure of v under the reflections in `roots`, capped at `cap`
+    points.  It runs on integers, one mirror per line of roots, with each
+    point kept as (nums, den) in lowest terms."""
+    mirrors = _mirrors(space, roots).values()
     start = integer_point(v)
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
-        for nums, den in frontier:
-            den *= scale
-            for g in matrices:
-                image = [sum(map(mul, row, nums)) for row in g]
-                k = math.gcd(den, *image)
-                y = (tuple(a // k for a in image), den // k)
+        for point in frontier:
+            for mirror in mirrors:
+                y = _reflected(mirror, point)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
@@ -121,12 +130,11 @@ def integer_point(v: Vec) -> Foot:
 class Levels:
     """Where the weights and roots of a problem lie against a direction l.
 
-    Weight indices below, on and above the hyperplane {<l, .> = 1}, root
-    indices on the negative, zero and positive side of {<l, .> = 0}, and the
-    total multiplicity of the weights below level 1 and at level >= 1.
+    Weight indices on and above the hyperplane {<l, .> = 1}, root indices
+    on the negative, zero and positive side of {<l, .> = 0}, and the total
+    multiplicity of the weights below level 1 and at level >= 1.
     """
 
-    below: tuple[int, ...]
     on: tuple[int, ...]
     above: tuple[int, ...]
     roots_negative: tuple[int, ...]
@@ -181,14 +189,12 @@ class IntegerLattice:
         nums, den = integer_point(l)
         c = tuple(sum(map(mul, row, nums)) for row in self.gram)
         one = den * self.gram_den * self.weight_den
-        below: list[int] = []
         on: list[int] = []
         above: list[int] = []
         mult_below = mult_at_least = 0
         for i, w in enumerate(self.weights):
             level = sum(map(mul, c, w))
             if level < one:
-                below.append(i)
                 mult_below += self.mults[i]
             else:
                 (on if level == one else above).append(i)
@@ -197,7 +203,7 @@ class IntegerLattice:
         for j, alpha in enumerate(self.roots):
             level = sum(map(mul, c, alpha))
             sides[(level > 0) - (level < 0) + 1].append(j)
-        return Levels(tuple(below), tuple(on), tuple(above),
+        return Levels(tuple(on), tuple(above),
                       tuple(sides[0]), tuple(sides[1]), tuple(sides[2]),
                       mult_below, mult_at_least)
 
@@ -399,11 +405,6 @@ class Problem:
     roots: RootSystem
     weights: WeightSystem
 
-    @cached_property
-    def generator_matrices(self) -> tuple[Matrix, ...]:
-        """The Weyl generators: the reflections in the roots."""
-        return reflection_generators(self.space, self.roots.roots)
-
 
 @dataclass(frozen=True)
 class ValidatedProblem:
@@ -413,8 +414,7 @@ class ValidatedProblem:
     roots and weights are orthogonal (under the form) to every vector in
     `constraints`.  A root problem is the restriction with no constraints.
     `validate` sets the Fraction `roots` and `weights` to its input, and a
-    restriction reads them from its lattice on first use.  The reflections
-    in `roots` are built only when an orbit is asked for.
+    restriction reads them from its lattice on first use.
     """
 
     space: GramSpace
@@ -432,10 +432,6 @@ class ValidatedProblem:
         return tuple((tuple(Q(a, den) for a in w), m)
                      for w, m in zip(self.lattice.weights, self.lattice.mults))
 
-    @cached_property
-    def generator_matrices(self) -> tuple[Matrix, ...]:
-        return reflection_generators(self.space, self.roots)
-
     @property
     def rank(self) -> int:
         return self.space.rank
@@ -449,7 +445,7 @@ class ValidatedProblem:
         return sum(m for _, m in self.weights)
 
     def orbit(self, v: Vec) -> tuple[Vec, ...]:
-        return orbit_closure(self.generator_matrices, v, DEFAULT_ORBIT_CAP)
+        return orbit_closure(self.space, self.roots, v, DEFAULT_ORBIT_CAP)
 
 
 class ValidationError(Exception):
@@ -474,11 +470,14 @@ def problem_violations(problem: Problem) -> list[str]:
     rank = problem.space.rank
 
     roots = problem.roots.roots
-    root_set = set(roots)
+    root_set: set[Vec] = set()
     for alpha in roots:
         if len(alpha) != rank:
             out.append(f"root {alpha} has length {len(alpha)}, expected {rank}")
             return out
+        if alpha in root_set:
+            out.append(f"duplicate root {alpha}")
+        root_set.add(alpha)
         if is_zero_vec(alpha):
             out.append("zero vector listed as a root")
     for alpha in roots:
@@ -510,21 +509,15 @@ def problem_violations(problem: Problem) -> list[str]:
     if out:
         return out
 
-    weight_map = dict(entries)
-    for k, g in enumerate(problem.generator_matrices):
-        image_roots = {matvec(g, alpha) for alpha in roots}
-        if image_roots != root_set:
-            out.append(f"generator {k} does not permute the root set")
-        image_weights = {matvec(g, v): m for v, m in entries}
-        if image_weights != weight_map:
-            out.append(f"generator {k} does not preserve the weight multiset")
+    root_points = {integer_point(alpha) for alpha in roots}
+    weight_points = {integer_point(v): m for v, m in entries}
+    for alpha, mirror in _mirrors(problem.space, roots).items():
+        if {_reflected(mirror, p) for p in root_points} != root_points:
+            out.append(f"the reflection in root {alpha} does not permute the root set")
+        if {_reflected(mirror, p): m for p, m in weight_points.items()} != weight_points:
+            out.append(f"the reflection in root {alpha} does not preserve "
+                       "the weight multiset")
     return out
-
-
-def reflection_generators(space: GramSpace, roots: Iterable[Vec]) -> tuple[Matrix, ...]:
-    """The distinct reflections in `roots`, sorted."""
-    # +alpha and -alpha give the same reflection; dedup keeps the set small
-    return tuple(sorted({reflection_matrix(space, alpha) for alpha in roots}))
 
 
 def validate(problem: Problem) -> ValidatedProblem:
@@ -608,9 +601,8 @@ def root_system(type_name: str) -> tuple[GramSpace, tuple[Vec, ...]]:
         gram[i][j] = gram[j][i] = Q(-max(norms[i], norms[j]), 2)
     space = GramSpace(n, tuple(map(tuple, gram)))
     simple = [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
-    reflections = reflection_generators(space, simple)
     roots = {alpha for s in simple
-             for alpha in orbit_closure(reflections, s, DEFAULT_ORBIT_CAP)}
+             for alpha in orbit_closure(space, simple, s, DEFAULT_ORBIT_CAP)}
     return space, tuple(sorted(roots))
 
 

@@ -4,6 +4,7 @@ caller."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import nullcone
@@ -56,7 +57,6 @@ def test_public_surface_is_pinned_and_documented():
 
 # definitions kept without a caller in src/ or bench/, each with its reason
 UNCALLED = {
-    "reflect": "the Fraction reflection that tests compare orbits against",
     "verify_candidate": "the Fraction recheck that tests compare candidates against",
     "make_space": "builds a GramSpace from literal rows in tests",
     "standard_transforms": "the invariance inputs of the metamorphic tests",
@@ -65,33 +65,42 @@ UNCALLED = {
 }
 
 
+def _references(tree: ast.AST) -> Counter:
+    """Each name, attribute and string constant under `tree`, counted."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
 def test_every_definition_has_a_caller():
     """A top-level function or class, or a method, of `src/nullcone` must
-    be referenced in `src/` or `bench/`: by name, as an attribute, or as a
-    string (an `__all__` export, a wrapper installed by name).  Dunder
-    methods are called by Python itself."""
+    be referenced in `src/` or `bench/` outside its own body: by name, as an
+    attribute, or as a string (an `__all__` export, a wrapper installed by
+    name).  A recursive call is not a caller.  Dunder methods are called by
+    Python itself."""
     definitions = []
     for path in sorted((ROOT / "src" / "nullcone").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((node.name, node.name))
+                definitions.append((node.name, node))
             if isinstance(node, ast.ClassDef):
-                definitions += [(f"{node.name}.{item.name}", item.name)
+                definitions += [(f"{node.name}.{item.name}", item)
                                 for item in node.body
                                 if isinstance(item, ast.FunctionDef)
                                 and not item.name.startswith("__")]
-    referenced = set()
+    referenced: Counter = Counter()
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referenced.add(node.value)
+        referenced += _references(ast.parse(path.read_text()))
     assert set(UNCALLED) <= {qualified for qualified, _ in definitions}
-    uncalled = [qualified for qualified, name in definitions
-                if name not in referenced and qualified not in UNCALLED]
+    uncalled = [qualified for qualified, node in definitions
+                if referenced[node.name] == _references(node)[node.name]
+                and qualified not in UNCALLED]
     assert uncalled == []
 
 

@@ -255,24 +255,23 @@ def test_root_level_work_counts(monkeypatch, source, counts):
 
 
 @pytest.mark.parametrize("source, counts", [
-    ("qubits3.json", (11, 0, 0, 20, 0, 0)),
-    ("qubits4.json", (38, 0, 0, 152, 0, 0)),
-    ("sl3-forms:6", (33, 0, 0, 42, 0, 0)),
+    ("qubits3.json", (11, 0, 20, 0, 0)),
+    ("qubits4.json", (38, 0, 152, 0, 0)),
+    ("sl3-forms:6", (33, 0, 42, 0, 0)),
 ])
 def test_tree_level_work_counts(monkeypatch, source, counts):
-    """One `stratify`'s (hull LPs, Weyl orbits, reflection sets built, level
-    passes, lattices built by `integer_lattice`, `GramSpace.inner` calls
-    outside `check_foot`).  The hull LP runs only on feet in the
-    anti-dominant chamber, at the root and at every tree node, so dedup
-    needs no orbit and no reflection: these stay far below the (40, 11, 3),
-    (360, 38, 4) and (176, 33, 1) of grouping each node's equality
+    """One `stratify`'s (hull LPs, Weyl orbits, level passes, lattices built
+    by `integer_lattice`, `GramSpace.inner` calls outside `check_foot`).
+    The hull LP runs only on feet in the anti-dominant chamber, at the root
+    and at every tree node, so dedup needs no orbit: these stay far below
+    the (40, 11), (360, 38) and (176, 33) of grouping each node's equality
     candidates into orbits.  A restriction reuses its candidate's levels and
     integer foot, so the last three stay below the (31, 6, 14),
     (190, 18, 42) and (75, 6, 34) of restricting along l in Fractions and
     clearing the denominators again."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    calls = dict.fromkeys(["hull", "orbit", "reflections", "levels", "lattice", "inner"], 0)
+    calls = dict.fromkeys(["hull", "orbit", "levels", "lattice", "inner"], 0)
     checking = []
 
     def counted(key, fn):
@@ -295,8 +294,6 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
                         counted("hull", IntegerLattice.hull_contains))
     monkeypatch.setattr(rootdata, "orbit_closure",
                         counted("orbit", rootdata.orbit_closure))
-    monkeypatch.setattr(rootdata, "reflection_generators",
-                        counted("reflections", rootdata.reflection_generators))
     monkeypatch.setattr(IntegerLattice, "levels", counted("levels", IntegerLattice.levels))
     monkeypatch.setattr(rootdata, "integer_lattice",
                         counted("lattice", rootdata.integer_lattice))

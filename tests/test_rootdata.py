@@ -17,7 +17,6 @@ from nullcone.rootdata import (
     problem_to_json,
     problem_violations,
     reflect,
-    reflection_matrix,
     validate,
 )
 
@@ -34,14 +33,6 @@ class TestReflections:
         alpha = parse_vector([1, 0])
         v = parse_vector([1, 2])  # <alpha, v> = 2 - 2 = 0
         assert reflect(self.space, alpha, v) == v
-
-    def test_matrix_matches_pointwise(self):
-        from nullcone.rootdata import matvec
-        alpha = parse_vector([1, 1])
-        m = reflection_matrix(self.space, alpha)
-        for v in ([1, 0], [0, 1], [2, -3], ["1/2", "1/3"]):
-            v = parse_vector(v)
-            assert matvec(m, v) == reflect(self.space, alpha, v)
 
     def test_involution(self):
         alpha = parse_vector([0, 1])
@@ -64,7 +55,7 @@ class TestOrbits:
     def test_cap(self):
         problem = validate(catalog("g2-adjoint"))
         with pytest.raises(ResourceError):
-            orbit_closure(problem.generator_matrices, parse_vector([5, 1]), 7)
+            orbit_closure(problem.space, problem.roots, parse_vector([5, 1]), 7)
 
     def test_orbit_deterministic(self):
         problem = validate(catalog("adjoint", ["b2"]))
@@ -131,6 +122,25 @@ class TestValidation:
         assert any("weight" in v for v in messages)
         with pytest.raises(ValidationError):
             validate(bad)
+
+    def test_duplicate_root(self):
+        # counted twice, the roots of a1 would give one stratum of dim 3
+        base = catalog("adjoint", ["a1"])
+        bad = dataclasses.replace(base, roots=RootSystem(base.roots.roots * 2))
+        assert problem_violations(bad) == [f"duplicate root {alpha}"
+                                           for alpha in base.roots.roots]
+        with pytest.raises(ValidationError):
+            validate(bad)
+
+    def test_reflection_leaves_weight_denominator(self):
+        # the reflection in (-1, -2) takes (1, 0) to (3/5, -4/5)
+        space = make_space([[1, 0], [0, 1]])
+        alpha = parse_vector([-1, -2])
+        assert reflect(space, alpha, parse_vector([1, 0])) == parse_vector(["3/5", "-4/5"])
+        bad = Problem(space, RootSystem.of([[1, 2], [-1, -2]]),
+                      WeightSystem.accumulate([([1, 0], 1)]))
+        assert problem_violations(bad) == [
+            f"the reflection in root {alpha} does not preserve the weight multiset"]
 
     def test_validation_error_carries_all_violations(self):
         base = _valid_problem()
