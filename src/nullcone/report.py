@@ -9,6 +9,7 @@ is fixed so equal summaries serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Any
 
@@ -21,7 +22,7 @@ from .ratgeom import InputError, Vec, parse_vector, vector_to_json
 # A record is a tuple of fields (key, get, kind).  `get` reads the field from
 # the object the engine made.  `kind` is a record, a one-element list [kind]
 # for a list of that kind, or a check: a function of the value and where it
-# sits that returns the value's JSON form or raises InputError.  `_emit` and
+# sits that returns the value's JSON form or raises InputError.  `_write` and
 # `_parse` walk the same tables, so the two cannot drift apart.
 
 
@@ -102,14 +103,6 @@ _SUMMARY = (
 )
 
 
-def _emit(kind: Any, value: Any) -> Any:
-    if isinstance(kind, list):
-        return [_emit(kind[0], item) for item in value]
-    if isinstance(kind, tuple):
-        return {key: _emit(sub, get(value)) for key, get, sub in kind}
-    return kind(value, "")
-
-
 def _parse(kind: Any, value: Any, where: str) -> Any:
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -125,12 +118,40 @@ def _parse(kind: Any, value: Any, where: str) -> Any:
     return kind(value, where)
 
 
-def to_json_dict(summary: NullconeSummary) -> dict[str, Any]:
-    return _emit(_SUMMARY, summary)
+def _leaf(form: Any, pad: str) -> str:
+    """`json.dumps(form, indent=2)` of a check's form, at indent `pad`."""
+    if type(form) is str:
+        return encode_basestring_ascii(form)
+    if type(form) is not list:
+        return "true" if form is True else "false" if form is False else str(form)
+    inner = pad + "  "
+    return (f"[\n{inner}" + f",\n{inner}".join([_leaf(x, inner) for x in form])
+            + f"\n{pad}]") if form else "[]"
+
+
+def _write(kind: Any, value: Any, pad: str, out: list[str]) -> list[str]:
+    """Append `json.dumps(..., indent=2)` of `value` laid out by `kind` to
+    `out`, and return `out`."""
+    inner = pad + "  "
+    if callable(kind):
+        out.append(_leaf(kind(value, ""), pad))
+    elif isinstance(kind, tuple):
+        for i, (key, get, sub) in enumerate(kind):
+            out.append(f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: ")
+            _write(sub, get(value), inner, out)
+        out.append(f"\n{pad}}}")
+    elif callable(kind[0]):
+        out.append(_leaf([kind[0](item, "") for item in value], pad))
+    else:
+        for i, item in enumerate(value):
+            out.append(f"{',' if i else '['}\n{inner}")
+            _write(kind[0], item, inner, out)
+        out.append(f"\n{pad}]" if value else "[]")
+    return out
 
 
 def to_json_text(summary: NullconeSummary) -> str:
-    return json.dumps(to_json_dict(summary), indent=2) + "\n"
+    return "".join(_write(_SUMMARY, summary, "", [])) + "\n"
 
 
 def from_json_dict(obj: Any) -> dict[str, Any]:

@@ -467,30 +467,29 @@ def _direction_key(v: Vec) -> Vec:
 
 def problem_violations(problem: Problem) -> list[str]:
     out: list[str] = []
+    shown = vector_to_json  # vectors as a problem file writes them
     rank = problem.space.rank
 
     roots = problem.roots.roots
     root_set: set[Vec] = set()
     for alpha in roots:
         if len(alpha) != rank:
-            out.append(f"root {alpha} has length {len(alpha)}, expected {rank}")
+            out.append(f"root {shown(alpha)} has length {len(alpha)}, expected {rank}")
             return out
         if alpha in root_set:
-            out.append(f"duplicate root {alpha}")
+            out.append(f"duplicate root {shown(alpha)}")
         root_set.add(alpha)
         if is_zero_vec(alpha):
             out.append("zero vector listed as a root")
+    by_direction: dict[Vec, set[Vec]] = {}
     for alpha in roots:
-        if not is_zero_vec(alpha) and vscale(Q(-1), alpha) not in root_set:
-            out.append(f"root set is not closed under negation: missing -{alpha}")
-    by_direction: dict[Vec, list[Vec]] = {}
-    for alpha in roots:
+        if (minus := vscale(Q(-1), alpha)) not in root_set:
+            out.append(f"root set is not closed under negation: missing {shown(minus)}")
         if not is_zero_vec(alpha):
-            by_direction.setdefault(_direction_key(alpha), []).append(alpha)
+            by_direction.setdefault(_direction_key(alpha), set()).add(alpha)
     for line in by_direction.values():
-        distinct = {alpha for alpha in line}
-        if len(distinct) > 2:
-            out.append(f"root set is not reduced on the line of {sorted(distinct)[0]}")
+        if len(line) > 2:
+            out.append(f"root set is not reduced on the line of {shown(min(line))}")
 
     entries = problem.weights.entries
     if not entries:
@@ -498,13 +497,13 @@ def problem_violations(problem: Problem) -> list[str]:
     seen_weights: set[Vec] = set()
     for v, mult in entries:
         if len(v) != rank:
-            out.append(f"weight {v} has length {len(v)}, expected {rank}")
+            out.append(f"weight {shown(v)} has length {len(v)}, expected {rank}")
             return out
         if v in seen_weights:
-            out.append(f"duplicate weight vector {v}")
+            out.append(f"duplicate weight vector {shown(v)}")
         seen_weights.add(v)
         if mult < 1:
-            out.append(f"weight {v} has multiplicity {mult}, expected >= 1")
+            out.append(f"weight {shown(v)} has multiplicity {mult}, expected >= 1")
 
     if out:
         return out
@@ -513,9 +512,9 @@ def problem_violations(problem: Problem) -> list[str]:
     weight_points = {integer_point(v): m for v, m in entries}
     for alpha, mirror in _mirrors(problem.space, roots).items():
         if {_reflected(mirror, p) for p in root_points} != root_points:
-            out.append(f"the reflection in root {alpha} does not permute the root set")
+            out.append(f"the reflection in root {shown(alpha)} does not permute the roots")
         if {_reflected(mirror, p): m for p, m in weight_points.items()} != weight_points:
-            out.append(f"the reflection in root {alpha} does not preserve "
+            out.append(f"the reflection in root {shown(alpha)} does not preserve "
                        "the weight multiset")
     return out
 

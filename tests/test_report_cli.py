@@ -1,27 +1,31 @@
+import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nullcone import cli, engine, oracle, rootdata
-from nullcone.cli import main
+from nullcone.cli import load_problem, main
 from nullcone.engine import stratify
-from nullcone.oracle import OracleReport
+from nullcone.oracle import OracleReport, random_problem
 from nullcone.ratgeom import InputError, parse_vector
 from nullcone.report import (
     candidates_text,
     fmt_vec,
     from_json_dict,
     from_json_text,
-    to_json_dict,
     to_json_text,
     to_text,
     tree_text,
 )
 from nullcone.rootdata import catalog, parse_catalog_spec, problem_to_json
 from nullcone.svg import render_svg
+
+QUBITS3 = Path(__file__).resolve().parents[1] / "bench" / "problems" / "qubits3.json"
 
 
 def _summary(spec, **kw):
@@ -30,10 +34,26 @@ def _summary(spec, **kw):
 
 class TestJsonReport:
     def test_round_trip_bytes(self):
-        for spec in ("g2-adjoint", "sl2-forms:2,3", "torus:1,0|0,1|1,1"):
-            summary = _summary(spec)
-            text = to_json_text(summary)
+        summaries = [_summary(spec) for spec in (
+            "g2-adjoint", "sl2-forms:2,3", "torus:1,0|0,1|1,1", "gl2-ex3:2,1")]
+        summaries += [stratify(random_problem(random.Random(1))),
+                      stratify(load_problem(str(QUBITS3)))]
+        texts = [to_json_text(summary) for summary in summaries]
+        assert '"1/3"' in texts[3]  # "p/q" entries
+        assert '"candidates": [],' in texts[4]  # random:1 has no candidates
+        for text in texts:
+            assert json.dumps(json.loads(text), indent=2) + "\n" == text
             assert json.dumps(from_json_text(text), indent=2) + "\n" == text
+
+    def test_writer_checks_each_leaf(self):
+        summary = _summary("gl2-ex3:2,1")
+        first = summary.strata[0]
+        for stratum, message in ((dataclasses.replace(first, dim=True), "an integer"),
+                                 (dataclasses.replace(first, support_v_l=(-1,)), "an index"),
+                                 (dataclasses.replace(first, l="12"), "not a vector")):
+            bad = dataclasses.replace(summary, strata=(stratum, *summary.strata[1:]))
+            with pytest.raises(InputError, match=message):
+                to_json_text(bad)
 
     def test_deterministic(self):
         one = to_json_text(_summary("adjoint:b2"))
@@ -41,7 +61,7 @@ class TestJsonReport:
         assert one == two
 
     def test_schema_keys(self):
-        data = to_json_dict(_summary("gl2-ex3:2,1"))
+        data = json.loads(to_json_text(_summary("gl2-ex3:2,1")))
         assert list(data) == ["candidates", "strata", "nullcone"]
         assert list(data["candidates"][0]) == ["l", "M", "stratifying", "tree"]
         assert list(data["strata"][0]) == [
@@ -50,7 +70,7 @@ class TestJsonReport:
         assert list(data["nullcone"]) == ["dim", "equals_V", "max_components"]
 
     def test_parse_errors(self):
-        good = to_json_dict(_summary("gl2-ex3:2,1"))
+        good = json.loads(to_json_text(_summary("gl2-ex3:2,1")))
 
         def broken(mutate):
             data = json.loads(json.dumps(good))
@@ -67,7 +87,7 @@ class TestJsonReport:
         broken(lambda d: d["nullcone"].update(max_components=[0.5]))
 
     def test_fields_checked_against_each_other(self):
-        good = to_json_dict(_summary("gl2-ex3:2,1"))
+        good = json.loads(to_json_text(_summary("gl2-ex3:2,1")))
         assert from_json_dict(good) == good
 
         def broken(mutate, message):
@@ -92,7 +112,7 @@ class TestJsonReport:
                "must be an index")
 
     def test_vector_must_be_a_list(self):
-        good = to_json_dict(_summary("gl2-ex3:2,1"))
+        good = json.loads(to_json_text(_summary("gl2-ex3:2,1")))
         for bad_l in ("12", 12, {"1": 2}):
             for record in ("candidates", "strata"):
                 data = json.loads(json.dumps(good))

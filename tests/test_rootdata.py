@@ -127,8 +127,7 @@ class TestValidation:
         # counted twice, the roots of a1 would give one stratum of dim 3
         base = catalog("adjoint", ["a1"])
         bad = dataclasses.replace(base, roots=RootSystem(base.roots.roots * 2))
-        assert problem_violations(bad) == [f"duplicate root {alpha}"
-                                           for alpha in base.roots.roots]
+        assert problem_violations(bad) == ["duplicate root [-1]", "duplicate root [1]"]
         with pytest.raises(ValidationError):
             validate(bad)
 
@@ -140,7 +139,7 @@ class TestValidation:
         bad = Problem(space, RootSystem.of([[1, 2], [-1, -2]]),
                       WeightSystem.accumulate([([1, 0], 1)]))
         assert problem_violations(bad) == [
-            f"the reflection in root {alpha} does not preserve the weight multiset"]
+            "the reflection in root [-1, -2] does not preserve the weight multiset"]
 
     def test_validation_error_carries_all_violations(self):
         base = _valid_problem()
@@ -151,6 +150,19 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             validate(bad)
         assert len(err.value.violations) >= 2
+
+    @pytest.mark.parametrize("roots, message", [
+        ([[1, 2]], "root set is not closed under negation: missing [-1, -2]"),
+        ([[1, 2], [-1, -2]], "the reflection in root [-1, -2] does not preserve"),
+    ], ids=["negation", "reflection"])
+    def test_violations_print_vectors_as_json(self, roots, message, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rank": 2, "gram": [[1, 0], [0, 1]], "roots": roots,
+                                    "weights": [{"v": [1, 0], "mult": 1}]}))
+        assert main(["stratify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Fraction(" not in err
 
     def test_explicit_generators_rejected(self, capsys, tmp_path):
         # W is always the group the root reflections generate
