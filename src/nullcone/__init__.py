@@ -40,10 +40,8 @@ from .report import (
 )
 from .rootdata import (
     Problem,
-    RootSystem,
     ValidatedProblem,
     ValidationError,
-    WeightSystem,
     catalog,
     direct_sum,
     parse_catalog_spec,
@@ -63,12 +61,10 @@ __all__ = [
     "OracleReport",
     "Problem",
     "ResourceError",
-    "RootSystem",
     "SignedTree",
     "StratumReport",
     "ValidatedProblem",
     "ValidationError",
-    "WeightSystem",
     "build_tree",
     "catalog",
     "check_rank2_law",

@@ -30,9 +30,7 @@ from .ratgeom import (
 )
 from .rootdata import (
     Problem,
-    RootSystem,
     ValidatedProblem,
-    WeightSystem,
     catalog,
     direct_sum,
     orbit_closure,
@@ -141,7 +139,7 @@ Transform = tuple[str, object]
 def _positive_roots(problem: Problem) -> list[Vec]:
     """The lexicographically positive roots: one per reflection."""
     zero = zero_vec(problem.space.rank)
-    return [alpha for alpha in problem.roots.roots if alpha > zero]
+    return [alpha for alpha in problem.roots if alpha > zero]
 
 
 def standard_transforms(problem: Problem) -> list[Transform]:
@@ -169,11 +167,8 @@ def apply_transform(problem: Problem, transform: Transform) -> Problem:
             raise InputError(
                 f"generator index {index} out of range for {len(positive)} generators")
         space, alpha = problem.space, positive[index]
-        roots = RootSystem(tuple(sorted(reflect(space, alpha, beta)
-                                        for beta in problem.roots.roots)))
-        weights = WeightSystem(tuple(sorted((reflect(space, alpha, v), m)
-                                            for v, m in problem.weights.entries)))
-        return Problem(space, roots, weights)
+        return Problem(space, tuple(reflect(space, alpha, beta) for beta in problem.roots),
+                       tuple((reflect(space, alpha, v), m) for v, m in problem.weights))
     raise InputError(f"unknown transform kind {kind!r}")
 
 
@@ -214,7 +209,7 @@ _RANK2_TEMPLATES = ("a1+a1", "a2", "b2", "g2")
 def _template(name: str) -> tuple[GramSpace, tuple[Vec, ...]]:
     """The form and roots of a "+"-joined sum of adjoint types."""
     problem = reduce(direct_sum, (catalog("adjoint", [t]) for t in name.split("+")))
-    return problem.space, problem.roots.roots
+    return problem.space, problem.roots
 
 
 def random_gram(rng: random.Random, rank: int) -> tuple[Vec, ...]:
@@ -237,7 +232,7 @@ def random_torus_problem(rng: random.Random, max_rank: int = 3) -> Problem:
     for _ in range(count):
         v = tuple(Q(rng.randint(-3, 3)) for _ in range(rank))
         pairs.append((v, rng.randint(1, 2)))
-    return Problem(space, RootSystem.of([]), WeightSystem.accumulate(pairs))
+    return Problem.of(space, [], pairs)
 
 
 def random_problem(rng: random.Random, max_distinct: int = 12,
@@ -273,7 +268,7 @@ def random_problem(rng: random.Random, max_distinct: int = 12,
         pairs.extend((v, mult) for v in orbit)
     if not pairs:
         pairs = [(zero_vec(space.rank), 1)]
-    return Problem(space, RootSystem(roots), WeightSystem.accumulate(pairs))
+    return Problem(space, roots, tuple(pairs))
 
 
 def _force_rank(problem: Problem, rank: int, rng: random.Random) -> Problem:
@@ -281,5 +276,5 @@ def _force_rank(problem: Problem, rank: int, rng: random.Random) -> Problem:
         return problem
     space = GramSpace(rank, random_gram(rng, rank))
     pairs = [(tuple(v[i] if i < len(v) else Q(0) for i in range(rank)), m)
-             for v, m in problem.weights.entries]
-    return Problem(space, RootSystem.of([]), WeightSystem.accumulate(pairs))
+             for v, m in problem.weights]
+    return Problem(space, (), tuple(pairs))

@@ -8,6 +8,7 @@ canonicalizes orderings so downstream reports can refer to stable indices.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -46,29 +47,6 @@ def reflect(space: GramSpace, alpha: Vec, v: Vec) -> Vec:
     return vsub(v, vscale(c, alpha)) if c else v
 
 
-def _mirrors(space: GramSpace,
-             roots: Iterable[Vec]) -> dict[Vec, tuple[IntVec, IntVec, int]]:
-    """The reflections in `roots`, one per line, keyed by the line's first
-    root: (a, c, n), where a is the primitive integer vector on the line
-    with its first nonzero entry positive, c = G a for the form G cleared
-    of denominators, and n = a . c."""
-    den = _common_denominator(q for row in space.gram for q in row)
-    gram = [_scaled(row, den) for row in space.gram]
-    lines: set[IntVec] = set()
-    out = {}
-    for alpha in roots:
-        if is_zero_vec(alpha):
-            raise InputError("cannot reflect in the zero vector")
-        a, _ = integer_point(alpha)
-        g = math.gcd(*a) if a > (0,) * len(a) else -math.gcd(*a)
-        a = tuple(x // g for x in a)
-        if a not in lines:
-            lines.add(a)
-            c = tuple(sum(map(mul, row, a)) for row in gram)
-            out[alpha] = a, c, sum(map(mul, c, a))
-    return out
-
-
 def _reflected(mirror: tuple[IntVec, IntVec, int], point: Foot) -> Foot:
     """The reflection of nums / den: (n nums - 2 (c . nums) a) / (n den), in
     lowest terms.  Positive scales of a and of c cancel."""
@@ -85,7 +63,7 @@ def orbit_closure(space: GramSpace, roots: Iterable[Vec], v: Vec,
     """BFS closure of v under the reflections in `roots`, capped at `cap`
     points.  It runs on integers, one mirror per line of roots, with each
     point kept as (nums, den) in lowest terms."""
-    mirrors = _mirrors(space, roots).values()
+    mirrors = integer_lattice(space, roots, ()).mirrors.values()
     start = integer_point(v)
     seen = {start}
     frontier = [start]
@@ -208,17 +186,30 @@ class IntegerLattice:
                       mult_below, mult_at_least)
 
     @cached_property
-    def walls(self) -> tuple[IntVec, ...]:
-        """gram alpha for each lexicographically positive root alpha."""
-        zero = (0,) * len(self.gram)
-        return tuple(tuple(sum(map(mul, row, alpha)) for row in self.gram)
-                     for alpha in self.roots if alpha > zero)
+    def mirrors(self) -> dict[int, tuple[IntVec, IntVec, int]]:
+        """The reflections in the roots, one per line, keyed by the index of
+        the line's first root: (a, c, n), where a is the primitive integer
+        vector on the line with its first nonzero entry positive, c = gram a
+        and n = a . c."""
+        lines: set[IntVec] = set()
+        out = {}
+        for j, alpha in enumerate(self.roots):
+            if not any(alpha):
+                raise InputError("cannot reflect in the zero vector")
+            g = math.gcd(*alpha) if alpha > (0,) * len(alpha) else -math.gcd(*alpha)
+            a = tuple(x // g for x in alpha)
+            if a not in lines:
+                lines.add(a)
+                c = tuple(sum(map(mul, row, a)) for row in self.gram)
+                out[j] = a, c, sum(map(mul, c, a))
+        return out
 
     def in_chamber(self, point: IntVec) -> bool:
         """Whether <point, alpha> <= 0 for every lexicographically positive
         root alpha: the closed anti-dominant chamber, which meets each Weyl
-        orbit in its lexicographic minimum alone."""
-        return all(sum(map(mul, point, wall)) <= 0 for wall in self.walls)
+        orbit in its lexicographic minimum alone.  Each mirror's c is a
+        positive multiple of gram alpha for the positive root on its line."""
+        return all(sum(map(mul, point, c)) <= 0 for _, c, _ in self.mirrors.values())
 
     def subset_feet(self, max_size: int) -> Iterator[tuple[tuple[int, ...], Foot]]:
         """Each affinely independent subset of at most `max_size` weights, in
@@ -374,36 +365,24 @@ def integer_lattice(space: GramSpace, roots: Sequence[Vec],
 # problem containers
 
 @dataclass(frozen=True)
-class RootSystem:
-    roots: tuple[Vec, ...]
-
-    @staticmethod
-    def of(roots: Iterable[Sequence[object]]) -> "RootSystem":
-        return RootSystem(tuple(sorted({parse_vector(r) for r in roots})))
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """Distinct weight vectors with positive multiplicities."""
-
-    entries: tuple[tuple[Vec, int], ...]
-
-    @staticmethod
-    def accumulate(pairs: Iterable[tuple[Sequence[object], int]]) -> "WeightSystem":
-        acc: dict[Vec, int] = {}
-        for v, mult in pairs:
-            vec = parse_vector(v)
-            acc[vec] = acc.get(vec, 0) + int(mult)
-        return WeightSystem(tuple(sorted(acc.items())))
-
-
-@dataclass(frozen=True)
 class Problem:
-    """Raw input instance; `validate` turns it into a ValidatedProblem."""
+    """Raw input instance: a form, roots, and weight vectors with their
+    multiplicities; `validate` turns it into a ValidatedProblem."""
 
     space: GramSpace
-    roots: RootSystem
-    weights: WeightSystem
+    roots: tuple[Vec, ...]
+    weights: tuple[tuple[Vec, int], ...]
+
+    @staticmethod
+    def of(space: GramSpace, roots: Iterable[Sequence[object]],
+           weights: Iterable[tuple[Sequence[object], int]]) -> "Problem":
+        """Parse each vector.  A repeated root is kept, for `validate` to
+        report; the multiplicities of a repeated weight vector add up."""
+        mults: dict[Vec, int] = {}
+        for v, mult in weights:
+            vec = parse_vector(v)
+            mults[vec] = mults.get(vec, 0) + mult
+        return Problem(space, tuple(map(parse_vector, roots)), tuple(mults.items()))
 
 
 @dataclass(frozen=True)
@@ -467,10 +446,12 @@ def _direction_key(v: Vec) -> Vec:
 
 def problem_violations(problem: Problem) -> list[str]:
     out: list[str] = []
-    shown = vector_to_json  # vectors as a problem file writes them
     rank = problem.space.rank
 
-    roots = problem.roots.roots
+    def shown(v: Vec) -> str:
+        return json.dumps(vector_to_json(v))  # as a problem file writes it
+
+    roots = sorted(problem.roots)
     root_set: set[Vec] = set()
     for alpha in roots:
         if len(alpha) != rank:
@@ -491,7 +472,7 @@ def problem_violations(problem: Problem) -> list[str]:
         if len(line) > 2:
             out.append(f"root set is not reduced on the line of {shown(min(line))}")
 
-    entries = problem.weights.entries
+    entries = problem.weights
     if not entries:
         out.append("weight system is empty")
     seen_weights: set[Vec] = set()
@@ -510,11 +491,11 @@ def problem_violations(problem: Problem) -> list[str]:
 
     root_points = {integer_point(alpha) for alpha in roots}
     weight_points = {integer_point(v): m for v, m in entries}
-    for alpha, mirror in _mirrors(problem.space, roots).items():
+    for j, mirror in integer_lattice(problem.space, roots, ()).mirrors.items():
         if {_reflected(mirror, p) for p in root_points} != root_points:
-            out.append(f"the reflection in root {shown(alpha)} does not permute the roots")
+            out.append(f"the reflection in root {shown(roots[j])} does not permute the roots")
         if {_reflected(mirror, p): m for p, m in weight_points.items()} != weight_points:
-            out.append(f"the reflection in root {shown(alpha)} does not preserve "
+            out.append(f"the reflection in root {shown(roots[j])} does not preserve "
                        "the weight multiset")
     return out
 
@@ -524,8 +505,7 @@ def validate(problem: Problem) -> ValidatedProblem:
     bad = problem_violations(problem)
     if bad:
         raise ValidationError(bad)
-    roots = tuple(sorted(problem.roots.roots))
-    weights = tuple(sorted(problem.weights.entries))
+    roots, weights = tuple(sorted(problem.roots)), tuple(sorted(problem.weights))
     valid = ValidatedProblem(problem.space, integer_lattice(problem.space, roots, weights))
     # the input itself: the Fraction references never read the integer kernel
     vars(valid).update(roots=roots, weights=weights)
@@ -538,31 +518,31 @@ def validate(problem: Problem) -> ValidatedProblem:
 def problem_from_json(data: dict) -> Problem:
     """Build a Problem from the documented JSON schema."""
     try:
-        rank = parse_int(data["rank"], "rank")
-        gram = tuple(parse_vector(row) for row in data["gram"])
-        roots = RootSystem.of(data.get("roots", []))
-        weights = WeightSystem.accumulate(
-            (entry["v"], parse_int(entry.get("mult", 1), "mult"))
-            for entry in data["weights"])
+        space = GramSpace(parse_int(data["rank"], "rank"),
+                          tuple(parse_vector(row) for row in data["gram"]))
+        roots = data.get("roots", [])
+        if not isinstance(roots, list):
+            raise InputError(f"roots must be a list, got {roots!r}")
         weyl = data.get("weyl", {"mode": "from_roots"})
         if weyl != {"mode": "from_roots"}:
             # G is connected, so W is the group the root reflections generate
             raise InputError(
                 f'weyl must be absent or {{"mode": "from_roots"}}, got {weyl!r}')
+        weights = ((entry["v"], parse_int(entry.get("mult", 1), "mult"))
+                   for entry in data["weights"])
+        return Problem.of(space, roots, weights)
     except KeyError as exc:
         raise InputError(f"problem JSON is missing key {exc}") from exc
     except TypeError as exc:
         raise InputError(f"malformed problem JSON: {exc}") from exc
-    return Problem(GramSpace(rank, gram), roots, weights)
 
 
 def problem_to_json(problem: Problem) -> dict:
     return {
         "rank": problem.space.rank,
         "gram": [vector_to_json(row) for row in problem.space.gram],
-        "roots": [vector_to_json(r) for r in sorted(problem.roots.roots)],
-        "weights": [{"v": vector_to_json(v), "mult": m}
-                    for v, m in sorted(problem.weights.entries)],
+        "roots": [vector_to_json(r) for r in sorted(problem.roots)],
+        "weights": [{"v": vector_to_json(v), "mult": m} for v, m in sorted(problem.weights)],
         "weyl": {"mode": "from_roots"},
     }
 
@@ -609,12 +589,8 @@ def _sl2_forms(*degrees: object) -> Problem:
     if not degrees:
         raise InputError("sl2-forms needs at least one degree")
     degs = [parse_int(d, "sl2-forms degree", 0) for d in degrees]
-    space = GramSpace(1, ((Q(1),),))
-    roots = RootSystem.of([(2,), (-2,)])
-    pairs = []
-    for d in degs:
-        pairs.extend(((m,), 1) for m in range(-d, d + 1, 2))
-    return Problem(space, roots, WeightSystem.accumulate(pairs))
+    pairs = [((m,), 1) for d in degs for m in range(-d, d + 1, 2)]
+    return Problem.of(GramSpace(1, ((Q(1),),)), [(2,), (-2,)], pairs)
 
 
 def _sl3_forms(degree: object) -> Problem:
@@ -622,20 +598,19 @@ def _sl3_forms(degree: object) -> Problem:
     # coordinates in the basis (e1, e2) with e3 = -e1 - e2; all |ei| equal,
     # pairwise angles 2*pi/3
     space = GramSpace(2, ((Q(2), Q(-1)), (Q(-1), Q(2))))
-    roots = RootSystem.of(
-        [(1, -1), (-1, 1), (2, 1), (-2, -1), (1, 2), (-1, -2)])
+    roots = [(1, -1), (-1, 1), (2, 1), (-2, -1), (1, 2), (-1, -2)]
     pairs = []
     for c1 in range(d + 1):
         for c2 in range(d + 1 - c1):
             c3 = d - c1 - c2
             pairs.append(((c1 - c3, c2 - c3), 1))
-    return Problem(space, roots, WeightSystem.accumulate(pairs))
+    return Problem.of(space, roots, pairs)
 
 
 def _adjoint(type_name: str) -> Problem:
     space, roots = root_system(str(type_name))
     pairs = [(alpha, 1) for alpha in roots] + [(zero_vec(space.rank), space.rank)]
-    return Problem(space, RootSystem(roots), WeightSystem.accumulate(pairs))
+    return Problem(space, roots, tuple(pairs))
 
 
 def _gl2_ex3(a: object, b: object) -> Problem:
@@ -643,10 +618,8 @@ def _gl2_ex3(a: object, b: object) -> Problem:
     if not (qa > 0 and qa * qa > qb * qb):
         raise InputError(
             f"gl2-ex3 needs a > 0 and a^2 > b^2, got a={qa}, b={qb}")
-    space = GramSpace(2, ((qa, qb), (qb, qa)))
-    roots = RootSystem.of([(1, -1), (-1, 1)])
-    weights = WeightSystem.accumulate([((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
-    return Problem(space, roots, weights)
+    return Problem.of(GramSpace(2, ((qa, qb), (qb, qa))), [(1, -1), (-1, 1)],
+                      [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
 
 
 def _torus(*vectors: Sequence[object]) -> Problem:
@@ -659,8 +632,7 @@ def _torus(*vectors: Sequence[object]) -> Problem:
     ident = tuple(tuple(Q(1) if i == j else Q(0) for j in range(rank))
                   for i in range(rank))
     space = GramSpace(rank, ident)
-    return Problem(space, RootSystem.of([]),
-                   WeightSystem.accumulate((v, 1) for v in vecs))
+    return Problem.of(space, [], ((v, 1) for v in vecs))
 
 
 def direct_sum(p1: Problem, p2: Problem) -> Problem:
@@ -672,11 +644,10 @@ def direct_sum(p1: Problem, p2: Problem) -> Problem:
         tuple(p1.space.gram[i]) + zero_vec(r2) for i in range(r1)) + tuple(
         zero_vec(r1) + tuple(p2.space.gram[i]) for i in range(r2))
     space = GramSpace(r1 + r2, gram)
-    roots = [a + zero_vec(r2) for a in p1.roots.roots]
-    roots += [zero_vec(r1) + b for b in p2.roots.roots]
-    pairs = [(v + zero_vec(r2), m) for v, m in p1.weights.entries]
-    pairs += [(zero_vec(r1) + v, m) for v, m in p2.weights.entries]
-    return Problem(space, RootSystem.of(roots), WeightSystem.accumulate(pairs))
+    roots = [a + zero_vec(r2) for a in p1.roots] + [zero_vec(r1) + b for b in p2.roots]
+    pairs = [(v + zero_vec(r2), m) for v, m in p1.weights]
+    pairs += [(zero_vec(r1) + v, m) for v, m in p2.weights]
+    return Problem.of(space, roots, pairs)
 
 
 # each catalog name with an example spec, a description, its builder and its

@@ -22,12 +22,10 @@ SURFACE = [
     "OracleReport",
     "Problem",
     "ResourceError",
-    "RootSystem",
     "SignedTree",
     "StratumReport",
     "ValidatedProblem",
     "ValidationError",
-    "WeightSystem",
     "build_tree",
     "catalog",
     "check_rank2_law",

@@ -26,9 +26,7 @@ from nullcone.ratgeom import (
 from nullcone.rootdata import (
     IntegerLattice,
     Problem,
-    RootSystem,
     ValidatedProblem,
-    WeightSystem,
     catalog,
     integer_lattice,
     parse_catalog_spec,
@@ -41,9 +39,7 @@ BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
 
 def _torus(gram, weights):
-    pairs = [(parse_vector(v), 1) for v in weights]
-    return validate(Problem(make_space(gram), RootSystem.of([]),
-                            WeightSystem.accumulate(pairs)))
+    return validate(Problem.of(make_space(gram), [], [(v, 1) for v in weights]))
 
 
 def _levels(problem, l):

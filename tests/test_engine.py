@@ -31,8 +31,6 @@ from nullcone.ratgeom import (
 from nullcone.rootdata import (
     IntegerLattice,
     Problem,
-    RootSystem,
-    WeightSystem,
     catalog,
     integer_lattice,
     parse_catalog_spec,
@@ -201,10 +199,10 @@ class TestEqualitySet:
 def _half_root_a1_a1():
     """A1 x A1 with roots ±(1/2, 0) and ±(0, 1): restricting along (±2, 0)
     keeps ±(0, 1) alone, so the roots' common denominator drops to 1."""
-    return Problem(make_space([[1, 0], [0, 1]]),
-                   RootSystem.of([["1/2", 0], ["-1/2", 0], [0, 1], [0, -1]]),
-                   WeightSystem.accumulate([(["1/2", 0], 1), (["-1/2", 0], 1),
-                                            ([0, 1], 1), ([0, -1], 1), ([0, 0], 2)]))
+    return Problem.of(make_space([[1, 0], [0, 1]]),
+                      [["1/2", 0], ["-1/2", 0], [0, 1], [0, -1]],
+                      [(["1/2", 0], 1), (["-1/2", 0], 1), ([0, 1], 1), ([0, -1], 1),
+                       ([0, 0], 2)])
 
 
 def _tree_nodes():

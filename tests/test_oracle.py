@@ -97,8 +97,8 @@ class TestTransforms:
         problem = parse_catalog_spec("adjoint:b2")
         moved = apply_transform(problem, ("weyl-generator", 0))
         validate(moved)
-        assert set(moved.roots.roots) == set(problem.roots.roots)
-        assert dict(moved.weights.entries) == dict(problem.weights.entries)
+        assert set(moved.roots) == set(problem.roots)
+        assert dict(moved.weights) == dict(problem.weights)
 
     def test_generator_index_range(self):
         problem = parse_catalog_spec("adjoint:a1")

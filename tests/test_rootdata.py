@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import pytest
 
@@ -7,10 +8,9 @@ from nullcone.engine import stratify
 from nullcone.ratgeom import InputError, ResourceError, make_space, parse_vector
 from nullcone.rootdata import (
     Problem,
-    RootSystem,
     ValidationError,
-    WeightSystem,
     catalog,
+    direct_sum,
     orbit_closure,
     parse_catalog_spec,
     problem_from_json,
@@ -82,8 +82,7 @@ class TestValidation:
 
     def test_root_not_negation_closed(self):
         base = _valid_problem()
-        roots = RootSystem.of([r for r in base.roots.roots
-                               if r != parse_vector([1, 0])])
+        roots = tuple(r for r in base.roots if r != parse_vector([1, 0]))
         bad = dataclasses.replace(base, roots=roots)
         assert any("negation" in v or "-" in v for v in problem_violations(bad))
         with pytest.raises(ValidationError):
@@ -91,33 +90,32 @@ class TestValidation:
 
     def test_zero_root(self):
         base = _valid_problem()
-        roots = RootSystem.of(list(base.roots.roots) + [parse_vector([0, 0])])
+        roots = base.roots + (parse_vector([0, 0]),)
         with pytest.raises(ValidationError):
             validate(dataclasses.replace(base, roots=roots))
 
     def test_non_reduced_roots(self):
         base = _valid_problem()
         doubled = [parse_vector([2, 0]), parse_vector([-2, 0])]
-        roots = RootSystem.of(list(base.roots.roots) + doubled)
+        roots = base.roots + tuple(doubled)
         with pytest.raises(ValidationError):
             validate(dataclasses.replace(base, roots=roots))
 
     def test_empty_weights(self):
         base = _valid_problem()
         with pytest.raises(ValidationError):
-            validate(dataclasses.replace(base, weights=WeightSystem(())))
+            validate(dataclasses.replace(base, weights=()))
 
     def test_bad_multiplicity(self):
         base = _valid_problem()
-        entries = tuple((v, 0) for v, _ in base.weights.entries)
+        entries = tuple((v, 0) for v, _ in base.weights)
         with pytest.raises(ValidationError):
-            validate(dataclasses.replace(base, weights=WeightSystem(entries)))
+            validate(dataclasses.replace(base, weights=entries))
 
     def test_weights_not_reflection_closed(self):
         base = _valid_problem()
-        entries = tuple((v, m) for v, m in base.weights.entries
-                        if v != parse_vector([1, 1]))
-        bad = dataclasses.replace(base, weights=WeightSystem(entries))
+        entries = tuple((v, m) for v, m in base.weights if v != parse_vector([1, 1]))
+        bad = dataclasses.replace(base, weights=entries)
         messages = problem_violations(bad)
         assert any("weight" in v for v in messages)
         with pytest.raises(ValidationError):
@@ -126,7 +124,7 @@ class TestValidation:
     def test_duplicate_root(self):
         # counted twice, the roots of a1 would give one stratum of dim 3
         base = catalog("adjoint", ["a1"])
-        bad = dataclasses.replace(base, roots=RootSystem(base.roots.roots * 2))
+        bad = dataclasses.replace(base, roots=base.roots * 2)
         assert problem_violations(bad) == ["duplicate root [-1]", "duplicate root [1]"]
         with pytest.raises(ValidationError):
             validate(bad)
@@ -136,8 +134,7 @@ class TestValidation:
         space = make_space([[1, 0], [0, 1]])
         alpha = parse_vector([-1, -2])
         assert reflect(space, alpha, parse_vector([1, 0])) == parse_vector(["3/5", "-4/5"])
-        bad = Problem(space, RootSystem.of([[1, 2], [-1, -2]]),
-                      WeightSystem.accumulate([([1, 0], 1)]))
+        bad = Problem.of(space, [[1, 2], [-1, -2]], [([1, 0], 1)])
         assert problem_violations(bad) == [
             "the reflection in root [-1, -2] does not preserve the weight multiset"]
 
@@ -145,24 +142,38 @@ class TestValidation:
         base = _valid_problem()
         bad = dataclasses.replace(
             base,
-            roots=RootSystem.of([parse_vector([0, 0])]),
-            weights=WeightSystem(()))
+            roots=(parse_vector([0, 0]),),
+            weights=())
         with pytest.raises(ValidationError) as err:
             validate(bad)
         assert len(err.value.violations) >= 2
 
-    @pytest.mark.parametrize("roots, message", [
-        ([[1, 2]], "root set is not closed under negation: missing [-1, -2]"),
-        ([[1, 2], [-1, -2]], "the reflection in root [-1, -2] does not preserve"),
-    ], ids=["negation", "reflection"])
-    def test_violations_print_vectors_as_json(self, roots, message, capsys, tmp_path):
+    @pytest.mark.parametrize("roots, weight, message", [
+        ([[1, 2]], [1, 0], "root set is not closed under negation: missing [-1, -2]"),
+        ([[1, 2], [-1, -2]], [1, 0], "the reflection in root [-1, -2] does not preserve"),
+        ([], ["1/2"], 'weight ["1/2"] has length 1, expected 2'),
+        ([["1/2", 0]], [1, 0], 'root set is not closed under negation: missing ["-1/2", 0]'),
+    ], ids=["negation", "reflection", "fraction-weight", "fraction-root"])
+    def test_violations_print_vectors_as_json(self, roots, weight, message, capsys,
+                                              tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rank": 2, "gram": [[1, 0], [0, 1]], "roots": roots,
-                                    "weights": [{"v": [1, 0], "mult": 1}]}))
+                                    "weights": [{"v": weight, "mult": 1}]}))
         assert main(["stratify", str(path)]) == 1
         err = capsys.readouterr().err
         assert message in err
-        assert "Fraction(" not in err
+        assert "Fraction(" not in err and "'" not in err
+
+    def test_repeated_entries_in_a_file(self, capsys, tmp_path):
+        # a repeated root is an error; a repeated weight adds its multiplicities
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({"rank": 1, "gram": [[1]], "roots": [[2], [-2], [2]],
+                                    "weights": [{"v": [0], "mult": 1}]}))
+        assert main(["stratify", str(path)]) == 1
+        assert capsys.readouterr().err == "error: duplicate root [2]\n"
+        twice = problem_from_json({"rank": 1, "gram": [[1]],
+                                   "weights": [{"v": [1]}, {"v": [1], "mult": 1}]})
+        assert validate(twice).weights == ((parse_vector([1]), 2),)
 
     def test_explicit_generators_rejected(self, capsys, tmp_path):
         # W is always the group the root reflections generate
@@ -177,11 +188,19 @@ class TestValidation:
         # the group the generators named used to change this answer: the
         # identity alone gave 12 strata, the reflections and -I gave 2
         forms = parse_catalog_spec("sl3-forms:1")
-        weights = WeightSystem.accumulate(
-            (parse_vector(v), 1) for v in ([1, 0], [0, 1], [1, 1], [-1, 0],
-                                            [0, -1], [-1, -1]))
-        summary = stratify(Problem(forms.space, forms.roots, weights))
+        weights = [(v, 1) for v in ([1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1])]
+        summary = stratify(Problem.of(forms.space, forms.roots, weights))
         assert [s.dim for s in summary.strata] == [5, 3, 3]
+
+
+# a valid rank-1 problem file, and the values each of its keys is set to in
+# turn; only gram [[5]] and roots [] leave it valid
+RANK_1 = {"rank": 1, "gram": [[1]], "roots": [[2], [-2]],
+          "weights": [{"v": [1], "mult": 1}, {"v": [-1], "mult": 1}],
+          "weyl": {"mode": "from_roots"}}
+MALFORMED = (5, "x", None, True, [], {}, [5], ["x"], [None], [[]], [{}], [[5]], [["x"]],
+             [[None]], [[1, 2]], [{"v": 5}], [{"v": [1], "mult": [1]}],
+             [{"v": [1], "mult": None}], [{"v": "1"}], -1, 0, 2)
 
 
 class TestJson:
@@ -209,6 +228,15 @@ class TestJson:
         data["weights"][0]["v"] = [0.5, 1]
         with pytest.raises(InputError):
             problem_from_json(data)
+
+    @pytest.mark.parametrize("value", MALFORMED, ids=json.dumps)
+    @pytest.mark.parametrize("key", list(RANK_1))
+    def test_malformed_file_never_crashes(self, key, value, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**RANK_1, key: value}))
+        valid = (key, value) in (("gram", [[5]]), ("roots", []))
+        assert main(["stratify", str(path)]) == (0 if valid else 1)
+        assert valid or capsys.readouterr().err.startswith("error: ")
 
     def test_string_vector_rejected(self):
         for bad in ("12", 12):
@@ -278,3 +306,17 @@ class TestCatalog:
                      "gl2-ex3:1,2"):
             with pytest.raises(InputError):
                 parse_catalog_spec(text)
+
+
+DIRECT_SUM_PARTS = ("torus:1,0|0,1|1,1", "sl2-forms:2,3", "adjoint:a1", "adjoint:a2",
+                    "adjoint:b2", "g2-adjoint", "gl2-ex3:2,1", "gl2-ex3:2,-1", "gl2-ex3:2,0")
+
+
+@pytest.mark.parametrize("first, second", itertools.combinations(DIRECT_SUM_PARTS, 2))
+def test_direct_sum_law(first, second, summary_of):
+    """dim N(V1 + V2) = dim N(V1) + dim N(V2), and the null cone of the sum
+    is all of it exactly when each part's null cone is all of that part."""
+    whole = stratify(direct_sum(parse_catalog_spec(first), parse_catalog_spec(second)))
+    parts = summary_of(first), summary_of(second)
+    assert whole.dim_nullcone == sum(part.dim_nullcone for part in parts)
+    assert whole.equals_V == all(part.equals_V for part in parts)
