@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .candidates import Candidate, check_foot, enumerate_candidates
-from .ratgeom import InputError, InvariantError, Vec
+from .ratgeom import InputError, InvariantError, Vec, integer_point
 from .rootdata import (
     IntegerLattice,
     Problem,
     ValidatedProblem,
-    integer_point,
     orbit_closure,  # noqa: F401 (bench/tracer.py wraps it under this name)
     validate,
 )

@@ -2,14 +2,18 @@
 
 Vectors are tuples of Fraction; the inner product is given by a rational
 Gram matrix.  Every predicate in this module is decided exactly: no floats,
-no tolerances.
+no tolerances.  `GramSpace.inner` and `perp` take and return Fractions but
+compute in Python ints with exact division, to the same rationals.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 Q = Fraction
@@ -83,10 +87,6 @@ def vector_to_json(v: Vec) -> list[object]:
     return [rational_to_json(x) for x in v]
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -101,6 +101,22 @@ def is_zero_vec(v: Vec) -> bool:
 
 def zero_vec(rank: int) -> Vec:
     return (Q(0),) * rank
+
+
+def integer_point(v: Sequence[Q]) -> tuple[tuple[int, ...], int]:
+    """v as (point, den) in lowest terms, den > 0: den is the least common
+    denominator of v's entries."""
+    dens = [q.denominator for q in v]
+    den = math.lcm(*dens)
+    return tuple([q.numerator * (den // d) for q, d in zip(v, dens)]), den
+
+
+def integer_rows(rows: Sequence[Sequence[Q]],
+                 width: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of `width` rationals as integer rows over their least common
+    denominator."""
+    nums, den = integer_point([q for row in rows for q in row])
+    return tuple(nums[i:i + width] for i in range(0, len(nums), width)), den
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +175,21 @@ class GramSpace:
         if len(v) != self.rank:
             raise InputError(f"vector {v} has length {len(v)}, expected {self.rank}")
 
+    @cached_property
+    def integer_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The form as (rows, den) with gram = rows / den."""
+        return integer_rows(self.gram, self.rank)
+
     def inner(self, u: Vec, v: Vec) -> Q:
-        """The Gram-form inner product of two vectors."""
+        """The Gram-form inner product of two vectors: with u = a / s,
+        v = b / t and gram = G / D, one integer sum (a . G b) / (s t D)."""
         self.check_dim(u)
         self.check_dim(v)
-        total = Q(0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.gram[i]
-                total += ui * sum((row[j] * vj for j, vj in enumerate(v) if vj), Q(0))
-        return total
+        rows, den = self.integer_gram
+        a, s = integer_point(u)
+        b, t = integer_point(v)
+        return Q(sum(x * sum(map(mul, row, b)) for x, row in zip(a, rows) if x),
+                 s * t * den)
 
     def norm_sq(self, v: Vec) -> Q:
         return self.inner(v, v)
@@ -181,28 +202,6 @@ def make_space(gram_rows: Sequence[Sequence[object]]) -> GramSpace:
 
 # ---------------------------------------------------------------------------
 # linear solving and independence
-
-def solve_linear_exact(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> Optional[Vec]:
-    """Solve a square rational system exactly; None if singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise InputError("solve_linear_exact expects a square matrix")
-    if len(b) != n:
-        raise InputError(f"right-hand side has length {len(b)}, expected {n}")
-    m = [[Q(x) for x in row] + [Q(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
-
 
 EchelonRows = list[tuple[int, Sequence]]
 
@@ -235,35 +234,55 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     all q1, q2 in the hull.  Computed from the normal equations over an
     affinely independent spanning subset, which is complete once it has
     rank differences; exact since the form is positive definite.
+
+    In integers, with base = b / s and each difference scaled to a primitive
+    integer vector d_i (the hull is the same): the foot is
+    (b + sum_i x_i d_i) / s where N x = r, N_ij = inner(d_i, d_j) and
+    r_i = -inner(d_i, b), over one common denominator.  N is positive
+    definite, so fraction-free Gauss-Jordan needs no row swap: pivot p sends
+    each entry x of another row to (p x - f y) // e, f being that row's
+    entry in the pivot column, y the pivot row's in x's and e the previous
+    pivot.  The division is exact (Bareiss 1968), and the last column ends
+    as det(N) x: the same foot a Fraction solve gives.
     """
     if not points:
         raise InputError("perp of an empty point set")
     base = points[0]
     space.check_dim(base)
+    if len(points) == 1:
+        return base
+    b, s = integer_point(base)
     rows: EchelonRows = []
-    diffs: list[Vec] = []
+    diffs: list[tuple[int, ...]] = []
     for q in points[1:]:
         if len(rows) == space.rank:
             break
-        d = vsub(q, base)
+        nums, t = integer_point(q)
+        d = [x * s - y * t for x, y in zip(nums, b)]
         grown = echelon_extend(rows, d)
         if grown is not None:
             rows = grown
-            diffs.append(d)
-    if not diffs:
-        return base
+            g = math.gcd(*d)
+            diffs.append(tuple(x // g for x in d))
     k = len(diffs)
-    normal = [[space.inner(diffs[i], diffs[j]) for j in range(k)] for i in range(k)]
-    rhs = [-space.inner(diffs[i], base) for i in range(k)]
-    coeffs = solve_linear_exact(normal, rhs)
-    if coeffs is None:
-        # the Gram matrix of independent differences is invertible
-        raise InvariantError(f"singular normal equations in perp of {list(points)}")
-    foot = base
-    for c, d in zip(coeffs, diffs):
-        if c:
-            foot = vadd(foot, vscale(c, d))
-    return foot
+    system = [[Q(0)] * k + [-space.inner(d, b)] for d in diffs]
+    for i in range(k):
+        for j in range(i, k):
+            system[i][j] = system[j][i] = space.inner(diffs[i], diffs[j])
+    m = list(integer_rows(system, k + 1)[0])
+    det = 1
+    for c, pivot_row in enumerate(m):
+        p = pivot_row[c]
+        if p <= 0:
+            # a Gram matrix of independent vectors is positive definite
+            raise InvariantError(f"singular normal equations in perp of {list(points)}")
+        for i, row in enumerate(m):
+            if i != c:
+                f = row[c]
+                m[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
+        det = p
+    return tuple(Q(det * x + sum(row[k] * d[j] for row, d in zip(m, diffs)), det * s)
+                 for j, x in enumerate(b))
 
 
 # ---------------------------------------------------------------------------

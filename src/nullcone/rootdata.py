@@ -23,6 +23,8 @@ from .ratgeom import (
     Q,
     ResourceError,
     Vec,
+    integer_point,
+    integer_rows,
     is_zero_vec,
     parse_int,
     parse_rational,
@@ -87,21 +89,6 @@ def orbit_closure(space: GramSpace, roots: Iterable[Vec], v: Vec,
 
 IntVec = tuple[int, ...]
 Foot = tuple[IntVec, int]  # (point, den) for point / den, in lowest terms, den > 0
-
-
-def _common_denominator(values: Iterable[Q]) -> int:
-    return math.lcm(1, *(q.denominator for q in values))
-
-
-def _scaled(v: Vec, den: int) -> IntVec:
-    """The integer vector den * v, for a common denominator den of v."""
-    return tuple(q.numerator * (den // q.denominator) for q in v)
-
-
-def integer_point(v: Vec) -> Foot:
-    """v as (point, den) in lowest terms, den > 0."""
-    den = _common_denominator(v)
-    return _scaled(v, den), den
 
 
 @dataclass(frozen=True)
@@ -347,18 +334,13 @@ class IntegerLattice:
 def integer_lattice(space: GramSpace, roots: Sequence[Vec],
                     weights: Sequence[tuple[Vec, int]]) -> IntegerLattice:
     """Clear the denominators of a problem's form, weights and roots."""
-    gram_den = _common_denominator(q for row in space.gram for q in row)
-    weight_den = _common_denominator(q for v, _ in weights for q in v)
-    root_den = _common_denominator(q for alpha in roots for q in alpha)
-    return IntegerLattice(
-        gram=tuple(_scaled(row, gram_den) for row in space.gram),
-        gram_den=gram_den,
-        weights=tuple(_scaled(v, weight_den) for v, _ in weights),
-        weight_den=weight_den,
-        mults=tuple(m for _, m in weights),
-        roots=tuple(_scaled(alpha, root_den) for alpha in roots),
-        root_den=root_den,
-    )
+    gram, gram_den = space.integer_gram
+    weight_rows, weight_den = integer_rows([v for v, _ in weights], space.rank)
+    root_rows, root_den = integer_rows(roots, space.rank)
+    return IntegerLattice(gram=gram, gram_den=gram_den,
+                          weights=weight_rows, weight_den=weight_den,
+                          mults=tuple(m for _, m in weights),
+                          roots=root_rows, root_den=root_den)
 
 
 # ---------------------------------------------------------------------------

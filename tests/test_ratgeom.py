@@ -1,9 +1,11 @@
 import pytest
 from fractions import Fraction as Q
+from hypothesis import given, settings, strategies as st
 
 from nullcone.ratgeom import (
     GramSpace,
     InputError,
+    echelon_extend,
     gram_violations,
     in_convex_hull,
     make_space,
@@ -12,8 +14,6 @@ from nullcone.ratgeom import (
     parse_vector,
     perp,
     rational_to_json,
-    solve_linear_exact,
-    vadd,
     vector_to_json,
     vscale,
     vsub,
@@ -83,7 +83,6 @@ class TestParsing:
 
 def test_vector_arithmetic():
     u, v = parse_vector([1, 2]), parse_vector([3, -1])
-    assert vadd(u, v) == (Q(4), Q(1))
     assert vsub(u, v) == (Q(-2), Q(3))
     assert vscale(Q(1, 2), u) == (Q(1, 2), Q(1))
 
@@ -115,7 +114,7 @@ class TestGram:
         a, b = parse_vector([1, 0]), parse_vector([0, 1])
         assert space.inner(a, a) == Q(2)
         assert space.inner(a, b) == Q(-1)
-        assert space.norm_sq(vadd(a, b)) == Q(2)
+        assert space.norm_sq((a[0] + b[0], a[1] + b[1])) == Q(2)
 
     def test_bad_space(self):
         with pytest.raises(InputError):
@@ -125,14 +124,6 @@ class TestGram:
         space = make_space([[1]])
         with pytest.raises(InputError):
             space.inner((Q(1), Q(2)), (Q(1), Q(2)))
-
-
-def test_solve_linear_exact():
-    a = [[Q(2), Q(1)], [Q(1), Q(3)]]
-    x = solve_linear_exact(a, [Q(5), Q(10)])
-    assert x == (Q(1), Q(3))
-    singular = [[Q(1), Q(2)], [Q(2), Q(4)]]
-    assert solve_linear_exact(singular, [Q(1), Q(1)]) is None
 
 
 def independent_subsets(points, max_size):
@@ -216,12 +207,98 @@ class TestPerp:
         points = [parse_vector([1, 0]), parse_vector([0, 1])]
         assert perp(space, points) == parse_vector(["1/2", "1/2"])
 
+    def test_duplicate_and_dependent_points(self):
+        space = make_space([[2, 1], [1, 2]])
+        a, b = parse_vector([1, 0]), parse_vector([0, 1])
+        mid = parse_vector(["1/3", "2/3"])
+        assert perp(space, [a, a, b, mid, b]) == perp(space, [a, b])
+        assert perp(space, [a, a, a]) == a
+
+    def test_coprime_denominators(self):
+        space = make_space([["1/97", 0], [0, "1/101"]])
+        points = [parse_vector(["1/7919", "-1/104729"]),
+                  parse_vector(["1/3", "1/1299709"])]
+        foot = perp(space, points)
+        assert space.inner(foot, vsub(points[1], points[0])) == 0
+        assert space.inner(points[1], points[0]) == Q(1, 97 * 7919 * 3) \
+            - Q(1, 101 * 104729 * 1299709)
+
     def test_orthogonality_property(self):
         space = make_space([[2, -1], [-1, 3]])
         points = [parse_vector(p) for p in ([1, 0], [0, 2], [1, 1])]
         foot = perp(space, points)
         for q in points[1:]:
             assert space.inner(foot, vsub(q, points[0])) == 0
+
+
+# Denominators include coprime primes, so a vector's least common
+# denominator can be large; integral entries are drawn as int or Fraction.
+DENOMINATORS = (1, 1, 2, 3, 4, 7, 11, 13, 97, 101)
+
+
+@st.composite
+def entries(draw, span=6):
+    q = Q(draw(st.integers(-span, span)), draw(st.sampled_from(DENOMINATORS)))
+    return int(q) if q.denominator == 1 and draw(st.booleans()) else q
+
+
+@st.composite
+def spaces(draw):
+    """A form MᵀM plus a positive diagonal, with mixed denominators."""
+    rank = draw(st.integers(1, 4))
+    m = [[draw(entries(3)) for _ in range(rank)] for _ in range(rank)]
+    diag = [Q(draw(st.integers(1, 5)), draw(st.sampled_from(DENOMINATORS)))
+            for _ in range(rank)]
+    gram = tuple(tuple(sum(Q(m[k][i]) * m[k][j] for k in range(rank))
+                       + (diag[i] if i == j else 0) for j in range(rank))
+                 for i in range(rank))
+    return GramSpace(rank, gram)
+
+
+@st.composite
+def point_sets(draw):
+    """A space and 1 to rank + 2 points, with duplicate and affinely
+    dependent points added at random positions."""
+    space = draw(spaces())
+    vectors = st.lists(entries(), min_size=space.rank, max_size=space.rank).map(tuple)
+    points = draw(st.lists(vectors, min_size=1, max_size=space.rank + 2))
+    extra = []
+    if draw(st.booleans()):
+        extra.append(draw(st.sampled_from(points)))
+    if len(points) >= 2 and draw(st.booleans()):
+        c = draw(entries(3))
+        extra.append(tuple(a + c * (b - a) for a, b in zip(points[0], points[1])))
+    for v in extra:
+        points.insert(draw(st.integers(0, len(points))), v)
+    return space, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_inner_is_the_double_sum(data):
+    space, points = data
+    u, v = points[0], points[-1]
+    expected = sum((Q(u[i]) * space.gram[i][j] * v[j]
+                    for i in range(space.rank) for j in range(space.rank)), Q(0))
+    got = space.inner(u, v)
+    assert type(got) is Q and got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_perp_is_the_orthogonal_point_of_the_hull(data):
+    space, points = data
+    foot = perp(space, points)
+    base = points[0]
+    rows = []
+    for q in points[1:]:
+        rows = echelon_extend(rows, [Q(a) - b for a, b in zip(q, base)]) or rows
+    # a single point comes back as given; any other foot is solved for
+    assert foot is base if len(points) == 1 else all(type(x) is Q for x in foot)
+    # foot - base lies in the span of the differences
+    assert echelon_extend(rows, [a - b for a, b in zip(foot, base)]) is None
+    for q in points:
+        assert space.inner(foot, [Q(a) - b for a, b in zip(q, base)]) == 0
 
 
 class TestConvexHull:
@@ -252,7 +329,7 @@ class TestConvexHull:
 
     def test_rational_coordinates(self):
         pts = [parse_vector(p) for p in (["1/3", 0], [0, "1/7"], [1, 1])]
-        inside = vscale(Q(1, 3), vadd(vadd(pts[0], pts[1]), pts[2]))
+        inside = vscale(Q(1, 3), tuple(a + b + c for a, b, c in zip(*pts)))
         assert in_convex_hull(self.space, inside, pts)
 
     def test_caratheodory_cross_check(self):
