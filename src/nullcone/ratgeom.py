@@ -2,8 +2,8 @@
 
 Vectors are tuples of Fraction; the inner product is given by a rational
 Gram matrix.  Every predicate in this module is decided exactly: no floats,
-no tolerances.  `GramSpace.inner` and `perp` take and return Fractions but
-compute in Python ints with exact division, to the same rationals.
+no tolerances.  `GramSpace.inner`, `perp` and `in_convex_hull` take Fractions
+but compute in Python ints with exact division, to the same results.
 """
 
 from __future__ import annotations
@@ -231,9 +231,11 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     """The point of the affine hull of `points` nearest the origin.
 
     Equivalently the unique p in aff(points) with inner(p, q1 - q2) = 0 for
-    all q1, q2 in the hull.  Computed from the normal equations over an
-    affinely independent spanning subset, which is complete once it has
-    rank differences; exact since the form is positive definite.
+    all q1, q2 in the hull.  An affinely independent spanning subset is
+    chosen in order; once it has rank differences the hull is the whole
+    space and the foot is the origin, with no solve.  Otherwise the foot
+    comes from the normal equations over the subset, exact since the form
+    is positive definite.
 
     In integers, with base = b / s and each difference scaled to a primitive
     integer vector d_i (the hull is the same): the foot is
@@ -247,21 +249,23 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     """
     if not points:
         raise InputError("perp of an empty point set")
+    for q in points:
+        space.check_dim(q)
     base = points[0]
-    space.check_dim(base)
     if len(points) == 1:
         return base
     b, s = integer_point(base)
     rows: EchelonRows = []
     diffs: list[tuple[int, ...]] = []
     for q in points[1:]:
-        if len(rows) == space.rank:
-            break
         nums, t = integer_point(q)
         d = [x * s - y * t for x, y in zip(nums, b)]
         grown = echelon_extend(rows, d)
         if grown is not None:
             rows = grown
+            if len(rows) == space.rank:
+                # the hull is the whole space, and the origin lies in it
+                return zero_vec(space.rank)
             g = math.gcd(*d)
             diffs.append(tuple(x // g for x in d))
     k = len(diffs)
@@ -288,50 +292,56 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
 # ---------------------------------------------------------------------------
 # convex hull membership by exact phase-1 simplex
 
-def _phase1_feasible(rows: list[list[Q]], rhs: list[Q]) -> bool:
-    """Feasibility of {x >= 0 : rows @ x = rhs} with Bland's rule."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tab: list[list[Q]] = []
-    for row, b in zip(rows, rhs):
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tab.append(list(row) + [Q(0)] * m + [b])
-    for i in range(m):
-        tab[i][n + i] = Q(1)
+def _phase1_feasible(rows: list[list[Q]]) -> bool:
+    """Feasibility of {x >= 0 : A x = b} with Bland's rule, each row [A_i, b_i].
+
+    Each row is cleared of its denominators and signed so that b_i >= 0; an
+    artificial column per row starts the basis.  The tableau stays integer
+    over the common denominator d, the previous pivot: pivot p sends each
+    entry a outside the pivot row to (p a - f b) // d, f being a's row entry
+    in the pivot column and b the pivot row's entry in a's column.  Every
+    entry is a minor of the starting tableau, so the division is exact
+    (Bareiss 1968), and d > 0, so entries carry the signs of the true ones.
+    Ratios compare by cross-multiplication.
+    """
+    m, n = len(rows), len(rows[0]) - 1
+    tab: list[list[int]] = []
+    for i, row in enumerate(rows):
+        nums = integer_point(row)[0]
+        nums = nums if nums[-1] >= 0 else [-x for x in nums]
+        tab.append([*nums[:n], *(int(i == k) for k in range(m)), nums[-1]])
     basis = list(range(n, n + m))
     # bottom row: reduced costs for minimizing the artificial sum, then -objective
-    z = [Q(0)] * (n + m + 1)
-    for j in range(n):
-        z[j] = -sum(tab[i][j] for i in range(m))
-    z[-1] = -sum(tab[i][-1] for i in range(m))
+    z = [-sum(col) for col in zip(*tab)]
+    z[n:n + m] = [0] * m
+    d = 1
     while True:
         enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
-            break
+            return z[-1] == 0
         leave = None
-        best = None
-        for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                best = tab[leave]
+                diff = row[-1] * best[enter] - best[-1] * a
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise InvariantError("phase-1 simplex: unbounded objective")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, tab[leave])]
+        pivot_row = tab[leave]
+        p = pivot_row[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
+        f = z[enter]
+        z = [(p * a - f * b) // d for a, b in zip(z, pivot_row)]
+        d = p
         basis[leave] = enter
-    return z[-1] == 0
 
 
 def in_convex_hull(space: GramSpace, p: Vec, points: Sequence[Vec]) -> bool:
@@ -341,8 +351,6 @@ def in_convex_hull(space: GramSpace, p: Vec, points: Sequence[Vec]) -> bool:
     space.check_dim(p)
     for q in points:
         space.check_dim(q)
-    n = len(points)
-    rows = [[points[j][i] for j in range(n)] for i in range(space.rank)]
-    rows.append([Q(1)] * n)
-    rhs = [p[i] for i in range(space.rank)] + [Q(1)]
-    return _phase1_feasible(rows, rhs)
+    rows = [[q[i] for q in points] + [p[i]] for i in range(space.rank)]
+    rows.append([Q(1)] * (len(points) + 1))
+    return _phase1_feasible(rows)

@@ -96,6 +96,23 @@ def test_strata_are_nilpotent_orbits(type_name, summary_of):
     assert len(summary.max_component_indices) == 1
 
 
+@pytest.mark.parametrize("type_name", sorted(ORBITS))
+def test_kostant_labels(type_name, summary_of):
+    """Kostant's label law: the labels -2<l, alpha_i> of a stratum's l on the
+    simple roots form the weighted Dynkin diagram of its orbit, so each lies
+    in {0, 1, 2} and no two strata share them (Collingwood and McGovern,
+    ch. 3).  The simple roots are the unit vectors of `root_system`'s basis."""
+    summary = summary_of(f"adjoint:{type_name}")
+    space = summary.problem.space
+    simple = [tuple(Fraction(int(i == j)) for j in range(space.rank))
+              for i in range(space.rank)]
+    assert set(simple) <= set(summary.problem.roots)
+    labels = [tuple(-2 * space.inner(s.l, alpha) for alpha in simple)
+              for s in summary.strata]
+    assert {x for row in labels for x in row} <= {0, 1, 2}
+    assert len(set(labels)) == len(labels)
+
+
 def test_direct_sum_strata_pair_the_orbits(summary_of):
     a2, b2 = [0] + ORBITS["a2"], [0] + ORBITS["b2"]
     expected = sorted(x + y for x in a2 for y in b2 if x or y)

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction as Q
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nullcone.ratgeom import (
     GramSpace,
@@ -17,6 +17,7 @@ from nullcone.ratgeom import (
     vector_to_json,
     vscale,
     vsub,
+    zero_vec,
 )
 from nullcone.rootdata import integer_lattice
 
@@ -223,6 +224,28 @@ class TestPerp:
         assert space.inner(points[1], points[0]) == Q(1, 97 * 7919 * 3) \
             - Q(1, 101 * 104729 * 1299709)
 
+    def test_every_point_length_checked(self):
+        # a long point was cut short by zip; a short one was caught only
+        # through its difference with the base
+        space = make_space([[1, 0], [0, 1]])
+        with pytest.raises(InputError, match=r"vector \(3, 4, 5\) has length 3"):
+            perp(space, [(1, 2), (3, 4, 5)])
+        with pytest.raises(InputError, match=r"vector \(3,\) has length 1"):
+            perp(space, [(1, 2), (3,)])
+        with pytest.raises(InputError, match=r"vector \(3,\) has length 1"):
+            perp(space, [(1, 2), (0, 1), (1, 0), (3,)])
+
+    def test_origin_in_a_proper_flat_is_solved_for(self):
+        # the line through -q and q holds the origin but is not the whole
+        # plane, so the foot comes from the normal equations
+        space = make_space([[2, 1], [1, "2/3"]])
+        points = [parse_vector(["1/2", 1]), parse_vector(["-1/2", -1])]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GramSpace, "inner", counting_inner(calls))
+            assert perp(space, points) == zero_vec(2)
+        assert calls
+
     def test_orthogonality_property(self):
         space = make_space([[2, -1], [-1, 3]])
         points = [parse_vector(p) for p in ([1, 0], [0, 2], [1, 1])]
@@ -299,6 +322,42 @@ def test_perp_is_the_orthogonal_point_of_the_hull(data):
     assert echelon_extend(rows, [a - b for a, b in zip(foot, base)]) is None
     for q in points:
         assert space.inner(foot, [Q(a) - b for a, b in zip(q, base)]) == 0
+
+
+def counting_inner(calls):
+    inner = GramSpace.inner
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return inner(self, u, v)
+    return counted
+
+
+@st.composite
+def spanning_point_sets(draw):
+    """A space and points whose differences from the first span it, with a
+    repeated point at a random position."""
+    space, points = draw(point_sets())
+    vectors = st.lists(entries(), min_size=space.rank, max_size=space.rank).map(tuple)
+    points += draw(st.lists(vectors, min_size=space.rank, max_size=space.rank))
+    rows = []
+    for q in points[1:]:
+        rows = echelon_extend(rows, [Q(a) - b for a, b in zip(q, points[0])]) or rows
+    assume(len(rows) == space.rank)
+    points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(points)))
+    return space, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_point_sets())
+def test_perp_of_a_spanning_set_is_the_origin_unsolved(data):
+    space, points = data
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GramSpace, "inner", counting_inner(calls))
+        foot = perp(space, points)
+    assert foot == zero_vec(space.rank) and all(type(x) is Q for x in foot)
+    assert calls == []
 
 
 class TestConvexHull:
@@ -380,3 +439,66 @@ class TestConvexHull:
         for q in queries:
             assert in_convex_hull(self.space, q, pts) \
                 == member_by_caratheodory(q, pts), q
+
+
+@st.composite
+def hulls(draw):
+    """A space, 1 to rank + 3 points and a point q of the same rank, with a
+    repeated point and a point between two others added at random."""
+    space = draw(spaces())
+    vectors = st.lists(entries(), min_size=space.rank, max_size=space.rank).map(tuple)
+    points = draw(st.lists(vectors, min_size=1, max_size=space.rank + 3))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    if len(points) >= 2 and draw(st.booleans()):
+        t = Q(draw(st.integers(0, 4)), 4)
+        points.append(tuple(a + t * (b - a) for a, b in zip(points[0], points[1])))
+    return space, points, draw(vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hulls(), st.data())
+def test_convex_combinations_are_in_the_hull(case, data):
+    space, points, _ = case
+    weights = [Q(data.draw(st.integers(0, 4)), data.draw(st.sampled_from(DENOMINATORS)))
+               for _ in points]
+    # zero weights put p on a face; a single nonzero weight on a vertex
+    if not any(weights):
+        weights[data.draw(st.integers(0, len(points) - 1))] = Q(1)
+    total = sum(weights)
+    p = tuple(sum(w * q[i] for w, q in zip(weights, points)) / total
+              for i in range(space.rank))
+    assert in_convex_hull(space, p, points)
+    assert all(in_convex_hull(space, q, points) for q in points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hulls(), st.data())
+def test_points_past_a_functional_are_outside_the_hull(case, data):
+    space, points, q = case
+    phi = data.draw(st.lists(st.integers(-3, 3), min_size=space.rank,
+                             max_size=space.rank).filter(any))
+
+    def value(v):
+        return sum(f * Q(a) for f, a in zip(phi, v))
+    # move q along phi until phi(p) exceeds max phi over the points
+    gap = Q(data.draw(st.integers(1, 5)), data.draw(st.sampled_from(DENOMINATORS)))
+    shift = (max(map(value, points)) + gap - value(q)) / sum(f * f for f in phi)
+    p = tuple(a + shift * f for a, f in zip(q, phi))
+    assert value(p) == max(map(value, points)) + gap
+    assert not in_convex_hull(space, p, points)
+
+
+def test_hull_of_a_repeated_collinear_set():
+    space = make_space([["1/2", "1/3"], ["1/3", "5/7"]])
+    a, b = parse_vector(["1/3", "-2/7"]), parse_vector(["4/3", "5/7"])
+    mid = vscale(Q(1, 2), tuple(x + y for x, y in zip(a, b)))
+    points = [a, mid, b, a, mid]
+    assert in_convex_hull(space, a, points) and in_convex_hull(space, b, points)
+    assert in_convex_hull(space, vscale(Q(1, 3), tuple(2 * x + y for x, y in zip(a, b))),
+                          points)
+    # past an end of the segment, and off its line
+    assert not in_convex_hull(space, tuple(2 * y - x for x, y in zip(a, b)), points)
+    assert not in_convex_hull(space, (mid[0], mid[1] + Q(1, 11)), points)
+    assert in_convex_hull(space, mid, [mid, mid])
+    assert not in_convex_hull(space, a, [mid])
