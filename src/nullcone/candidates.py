@@ -5,14 +5,15 @@ carries weights, such that the perpendicular foot from the origin lies in the
 convex hull of those weights, the weight set on the hyperplane is saturated,
 and the root-versus-weight counting bound holds.
 
-Enumeration scans affinely independent weight subsets of size up to the
-effective rank.  Any saturated weight set lives in an affine hyperplane, so
-it has an affinely independent spanning subset within that size bound and
-the scan cannot miss it; the brute-force oracle in `oracle` double-checks
-this on every tested instance.  `IntegerLattice.subset_feet` yields each
-subset with its foot, updated from its prefix's foot by one fraction-free
-projection, and `candidate_from_subset` tests each distinct foot once: a
-foot f and l = f/|f|^2 determine each other.
+Enumeration scans the flats (affine hulls) of weight subsets of size up to
+the effective rank.  Any saturated weight set lives in an affine hyperplane,
+so its flat is spanned by an affinely independent subset within that size
+bound and the scan cannot miss it; the brute-force oracle in `oracle`
+double-checks this on every tested instance.  `IntegerLattice.subset_feet`
+yields a spanning subset of each flat with its foot, updated from its
+prefix's foot by one fraction-free projection, and with dedup skips the
+subtrees that hold no foot in the chamber.  `candidate_from_subset` tests
+each distinct foot once: a foot f and l = f/|f|^2 determine each other.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
@@ -83,11 +84,11 @@ def enumerate_candidates(problem: ValidatedProblem, dedup: bool = True,
     is positive on the lex-positive roots, so that minimum is the orbit's one
     point in the closed anti-dominant chamber (Humphreys 1990, 1.12).  The
     foot is a positive multiple of l, so `in_chamber` tests it before the
-    level pass and the hull LP.  Without dedup nothing is filtered.
+    level pass and the hull LP.  Without dedup nothing is filtered or pruned.
     """
     found = []
     if problem.lattice.weights and problem.effective_rank >= 1:
-        subsets = problem.lattice.subset_feet(problem.effective_rank)
+        subsets = problem.lattice.subset_feet(problem.effective_rank, dedup)
         for foot in dict.fromkeys(foot for _, foot in subsets):
             if dedup and not problem.lattice.in_chamber(foot[0]):
                 continue

@@ -23,6 +23,7 @@ from .ratgeom import (
     Q,
     ResourceError,
     Vec,
+    echelon_extend,
     integer_point,
     integer_rows,
     is_zero_vec,
@@ -198,51 +199,90 @@ class IntegerLattice:
         positive multiple of gram alpha for the positive root on its line."""
         return all(sum(map(mul, point, c)) <= 0 for _, c, _ in self.mirrors.values())
 
-    def subset_feet(self, max_size: int) -> Iterator[tuple[tuple[int, ...], Foot]]:
-        """Each affinely independent subset of at most `max_size` weights, in
-        lexicographic order, with its foot `ratgeom.perp` as (point, den):
-        point / den in lowest terms with den > 0.
+    @cached_property
+    def roots_span_weights(self) -> bool:
+        """Whether every weight lies in the span of the roots."""
+        rows: list = []
+        for a, _, _ in self.mirrors.values():
+            rows = echelon_extend(rows, a) or rows
+            if len(rows) == len(self.gram):
+                return True
+        return all(echelon_extend(rows, w) is None for w in self.weights)
 
-        The depth-first search is fraction-free Gram-Schmidt (Erlingsson,
-        Kaltofen and Musser 1996).  Each later index j of a subset S carries
-        its residual: the part of w_j - w_0 orthogonal to the differences of
-        S, as an integer vector.  It is zero exactly when w_j is in aff(S),
-        and then j is dropped for good.  Adding j with residual u
-        sends the foot f to f - (<f, u> / <u, u>) u and each later residual
-        v to <u, u> v - <v, u> u.  The form's scale cancels in both.
+    def subset_feet(self, max_size: int,
+                    dedup: bool = False) -> Iterator[tuple[tuple[int, ...], Foot]]:
+        """Affinely independent subsets of at most `max_size` weights, in
+        lexicographic order, at least one spanning each flat (affine hull),
+        with their feet `ratgeom.perp` as (point, den) in lowest terms, den > 0.
+
+        The search is fraction-free Gram-Schmidt (Erlingsson, Kaltofen and
+        Musser 1996).  A later index j of a subset S carries its residual u,
+        the part of w_j - w_0 orthogonal to the differences of S, as a
+        primitive integer vector with first nonzero entry positive, and its
+        covector gram u.  Adding j sends the foot f to f - (<f, u> / <u, u>) u,
+        and each later residual and covector v to <u, u> v - <v, u> u; the
+        form's scale cancels.  A zero residual puts w_j in aff(S), and equal
+        ones span one flat with S, so only the least index of each is kept.
+
+        With `dedup`, if the roots span the weights, a node with fewer than
+        `max_size` points and a dominant foot f (<f, alpha> >= 0 for each
+        positive root) is neither yielded nor extended.  f is then in the cone
+        of the positive roots, the polar of the anti-dominant chamber
+        (`in_chamber`), and each foot f' of a flat through f has
+        <f', f - f'> = 0, so <f', f> = |f'|^2 > 0 unless f' = 0: f' is
+        outside that chamber or zero, as f is.
         """
         if max_size < 1:
             raise InputError(f"max_size must be >= 1, got {max_size}")
-        gram, weights = self.gram, self.weights
+        gram, weights, zero = self.gram, self.weights, [0] * len(self.gram)
+        positive = [c for _, c, _ in self.mirrors.values()] if dedup else None
+
+        def dominant(point):  # the cached span check runs last
+            return positive is not None and all(
+                sum(map(mul, point, c)) >= 0 for c in positive) and self.roots_span_weights
 
         def extend(subset, point, den, residuals):
-            for k, (j, u) in enumerate(residuals):
-                cov = [sum(map(mul, row, u)) for row in gram]
-                norm = sum(map(mul, cov, u))
-                t = sum(map(mul, cov, point))
+            inner = len(subset) + 1 < max_size
+            for k, (u, (j, cu)) in enumerate(residuals):
+                norm = sum(map(mul, cu, u))
+                t = sum(map(mul, cu, point))
                 moved = [norm * a - t * b for a, b in zip(point, u)]
                 g = math.gcd(norm * den, *moved)
-                chosen = subset + (j,)
-                foot = tuple(a // g for a in moved), norm * den // g
-                yield chosen, foot
-                if len(chosen) < max_size:
-                    rest = []
-                    for i, v in residuals[k + 1:]:
-                        t = sum(map(mul, cov, v))
+                foot = tuple([a // g for a in moved]), norm * den // g
+                if not inner:
+                    yield subset + (j,), foot
+                elif not dominant(foot[0]):
+                    chosen = subset + (j,)
+                    yield chosen, foot
+                    rest = {}
+                    for v, (i, cv) in residuals[k + 1:]:
+                        t = sum(map(mul, cu, v))
                         v = [norm * a - t * b for a, b in zip(v, u)]
                         g = math.gcd(*v)
                         if g:
-                            rest.append((i, [a // g for a in v]))
-                    yield from extend(chosen, *foot, rest)
+                            g = -g if v < zero else g
+                            key = tuple([a // g for a in v])
+                            if key not in rest:
+                                rest[key] = i, [(norm * a - t * b) // g for a, b in zip(cv, cu)]
+                    yield from extend(chosen, *foot, list(rest.items()))
 
         for i, base in enumerate(weights):
             g = math.gcd(self.weight_den, *base)
             foot = tuple(a // g for a in base), self.weight_den // g
-            yield (i,), foot
-            if max_size > 1:
-                diffs = ((j, list(map(sub, weights[j], base)))
-                         for j in range(i + 1, len(weights)))
-                yield from extend((i,), *foot, [(j, d) for j, d in diffs if any(d)])
+            if max_size == 1:
+                yield (i,), foot
+            elif not dominant(foot[0]):
+                yield (i,), foot
+                rest = {}
+                for j in range(i + 1, len(weights)):
+                    v = list(map(sub, weights[j], base))
+                    g = math.gcd(*v)
+                    if g:
+                        g = -g if v < zero else g
+                        key = tuple([a // g for a in v])
+                        if key not in rest:
+                            rest[key] = j, [sum(map(mul, row, key)) for row in gram]
+                yield from extend((i,), *foot, list(rest.items()))
 
     def direction(self, point: IntVec, den: int) -> Vec:
         """l = f / |f|^2 for the foot f = point / den, as Fractions.

@@ -17,6 +17,7 @@ from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
     GramSpace,
     InvariantError,
+    integer_point,
     is_zero_vec,
     make_space,
     parse_vector,
@@ -47,9 +48,11 @@ def _levels(problem, l):
 
 
 def _from_subset(problem, subset):
-    """`candidate_from_subset` on the foot `subset_feet` yields for `subset`."""
-    feet = dict(problem.lattice.subset_feet(len(subset)))
-    return candidate_from_subset(problem, feet[subset])
+    """`candidate_from_subset` on the foot of `subset` by `perp`, which
+    `subset_feet` yields for some subset of the same size limit."""
+    foot = integer_point(perp(problem.space, [problem.weights[i][0] for i in subset]))
+    assert foot in {f for _, f in problem.lattice.subset_feet(len(subset))}
+    return candidate_from_subset(problem, foot)
 
 
 class TestCountBound:
@@ -213,9 +216,10 @@ def test_subset_foot_is_member_foot():
 
 
 @pytest.mark.parametrize("source, counts", [
-    ("qubits3.json", (92, 9, 8, 8)),
-    ("qubits4.json", (2416, 35, 34, 34)),
-    ("sl3-forms:6", (406, 33, 32, 32)),
+    ("qubits3.json", (56, 9, 8, 8)),
+    ("qubits4.json", (947, 35, 34, 34)),
+    ("sl3-forms:6", (243, 33, 32, 32)),
+    ("adjoint:a4", (2754, 28, 27, 27)),
 ])
 def test_root_level_work_counts(monkeypatch, source, counts):
     """The root-level enumeration's work, as (subsets tried, distinct feet
@@ -228,8 +232,8 @@ def test_root_level_work_counts(monkeypatch, source, counts):
     subset_feet = IntegerLattice.subset_feet
     original = candidates.candidate_from_subset
 
-    def listing(lattice, max_size):
-        for item in subset_feet(lattice, max_size):
+    def listing(lattice, max_size, dedup=False):
+        for item in subset_feet(lattice, max_size, dedup):
             subsets.append(item)
             yield item
 

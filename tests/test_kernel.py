@@ -2,9 +2,10 @@
 
 `IntegerLattice.levels` must sort weights and roots exactly as
 `GramSpace.inner` compared with 1 and 0 does, `IntegerLattice.subset_feet`
-must yield the affinely independent subsets a brute-force rank test finds
-on Fractions, in lexicographic order, each with `ratgeom.perp` of it as its
-foot, projected (restricted) weights included, and
+must yield, in lexicographic order, affinely independent subsets that span
+every flat a brute-force rank test finds on Fractions, each with
+`ratgeom.perp` of it as its foot, projected (restricted) weights included;
+with `dedup` its prune must keep every nonzero chamber foot, and
 `IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`.
 The integer `orbit_closure` must equal a Fraction BFS under `reflect`.
 Testing each distinct foot once in `enumerate_candidates` must run the hull
@@ -16,6 +17,7 @@ import ast
 import inspect
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -27,7 +29,8 @@ from nullcone.candidates import (
     enumerate_candidates,
     verify_candidate,
 )
-from nullcone.oracle import naive_candidates
+from nullcone.engine import equality_set, restrict
+from nullcone.oracle import naive_candidates, random_problem, random_torus_problem
 from nullcone.ratgeom import (
     GramSpace,
     InputError,
@@ -41,6 +44,7 @@ from nullcone.ratgeom import (
 )
 from nullcone.rootdata import (
     IntegerLattice,
+    direct_sum,
     integer_lattice,
     orbit_closure,
     parse_catalog_spec,
@@ -48,6 +52,8 @@ from nullcone.rootdata import (
     root_system,
     validate,
 )
+
+from conftest import CATALOG_SPECS
 
 KERNEL_NAMES = {"IntegerLattice", "Levels", "integer_lattice", "lattice",
                 "levels", "subset_feet", "direction", "hull_contains"}
@@ -156,6 +162,21 @@ def _affinely_independent(points):
     return True
 
 
+def _independent_subsets(points, max_size):
+    """Brute force: every affinely independent subset of at most
+    `max_size` points, in lexicographic order."""
+    return sorted(subset for k in range(1, max_size + 1)
+                  for subset in itertools.combinations(range(len(points)), k)
+                  if _affinely_independent([points[i] for i in subset]))
+
+
+def _flat(points, subset):
+    """The indices of the points in the affine hull of an independent subset."""
+    return frozenset(i for i, q in enumerate(points)
+                     if i in subset or not _affinely_independent(
+                         [points[j] for j in subset] + [q]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(lattice_inputs())
 def test_subsets_same_on_ints_and_fractions(data):
@@ -164,11 +185,61 @@ def test_subsets_same_on_ints_and_fractions(data):
     points = [v for v, _ in weights]
     for size in range(1, space.rank + 2):
         found = [subset for subset, _ in lattice.subset_feet(size)]
+        independent = _independent_subsets(points, size)
         # depth-first with increasing indices is lexicographic order
-        assert found == sorted(
-            subset for k in range(1, size + 1)
-            for subset in itertools.combinations(range(len(points)), k)
-            if _affinely_independent([points[i] for i in subset]))
+        assert found == sorted(set(found)) and set(found) <= set(independent)
+        # every flat of weights is spanned by a subset found, so every foot
+        assert {_flat(points, s) for s in found} == {_flat(points, s) for s in independent}
+        assert {perp(space, [points[i] for i in s]) for s in found} \
+            == {perp(space, [points[i] for i in s]) for s in independent}
+
+
+def _with_restrictions(problem, cands):
+    """`problem` and the restriction at every signed-tree node below
+    `cands`: a node's children are the equality set of its restriction."""
+    yield problem
+    for cand in cands:
+        sub = restrict(problem, cand)
+        yield from _with_restrictions(sub, equality_set(sub))
+
+
+def _check_prune(problem):
+    """`subset_feet` with `dedup` keeps every nonzero chamber foot, and
+    without it yields every foot the brute force gives."""
+    lattice, size = problem.lattice, problem.effective_rank
+    if size < 1:
+        return None  # not enumerated
+    points = [v for v, _ in problem.weights]
+    feet = {dedup: {foot for _, foot in lattice.subset_feet(size, dedup)}
+            for dedup in (False, True)}
+    chamber = [{f for f in feet[dedup] if any(f[0]) and lattice.in_chamber(f[0])}
+               for dedup in (False, True)]
+    assert chamber[0] == chamber[1]
+    assert {tuple(Q(a, den) for a in point) for point, den in feet[False]} \
+        == {perp(problem.space, [points[i] for i in s])
+            for s in _independent_subsets(points, size)}
+    return lattice.roots_span_weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.one_of(st.none(), st.integers(0, 10 ** 6)))
+def test_prune_keeps_the_chamber_feet_random(seed, centre):
+    # a torus summand gives the roots a centre that the weights reach
+    problem = random_problem(random.Random(seed), max_distinct=8)
+    if centre is not None:
+        problem = direct_sum(problem, random_torus_problem(random.Random(centre), 1))
+    problem = validate(problem)
+    for sub in _with_restrictions(problem, enumerate_candidates(problem)):
+        _check_prune(sub)
+
+
+def test_prune_keeps_the_chamber_feet_catalog():
+    spans = set()
+    for spec in CATALOG_SPECS:
+        problem = validate(parse_catalog_spec(spec))
+        for sub in _with_restrictions(problem, enumerate_candidates(problem)):
+            spans.add(_check_prune(sub))
+    assert {False, True} <= spans
 
 
 def _fraction_orbit(space, roots, v, cap):

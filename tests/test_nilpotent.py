@@ -32,36 +32,47 @@ def conjugate_square_sum(lam):
     return sum(sum(1 for part in lam if part > i) ** 2 for i in range(lam[0]))
 
 
-def sl_orbits(n):
-    """Nonzero nilpotent orbit dimensions of sl(n)."""
-    return sorted(n * n - conjugate_square_sum(lam)
-                  for lam in partitions(n) if lam != (1,) * n)
+def sl_partitions(n):
+    """The partitions labelling the nonzero nilpotent orbits of sl(n)."""
+    return [lam for lam in partitions(n) if lam != (1,) * n]
 
 
-def so_orbits(size, type_d=False):
-    """Nonzero nilpotent orbit dimensions of so(size): even parts need even
-    multiplicity, and in type D each very even partition (every part even)
-    labels two orbits."""
-    dims = []
+def so_partitions(size, type_d=False):
+    """The partitions labelling the nonzero nilpotent orbits of so(size):
+    even parts need even multiplicity, and in type D each very even
+    partition (every part even) labels two orbits."""
+    out = []
     for lam in partitions(size):
         if lam == (1,) * size or any(lam.count(p) % 2 for p in set(lam) if p % 2 == 0):
             continue
-        odd = sum(p % 2 for p in lam)
-        dim = Fraction(size * (size - 1) - conjugate_square_sum(lam) + odd, 2)
-        dims += [dim] * (2 if type_d and not odd else 1)
-    return sorted(dims)
+        out += [lam] * (2 if type_d and not any(p % 2 for p in lam) else 1)
+    return out
+
+
+def sp_partitions(n):
+    """The partitions labelling the nonzero nilpotent orbits of sp(2n): odd
+    parts need even multiplicity."""
+    return [lam for lam in partitions(2 * n)
+            if lam != (1,) * (2 * n) and not any(lam.count(p) % 2 for p in set(lam) if p % 2)]
+
+
+def sl_orbits(n):
+    """Nonzero nilpotent orbit dimensions of sl(n)."""
+    return sorted(n * n - conjugate_square_sum(lam) for lam in sl_partitions(n))
+
+
+def so_orbits(size, type_d=False):
+    """Nonzero nilpotent orbit dimensions of so(size)."""
+    return sorted(Fraction(size * (size - 1) - conjugate_square_sum(lam)
+                           + sum(p % 2 for p in lam), 2)
+                  for lam in so_partitions(size, type_d))
 
 
 def sp_orbits(n):
-    """Nonzero nilpotent orbit dimensions of sp(2n): odd parts need even
-    multiplicity."""
-    dims = []
-    for lam in partitions(2 * n):
-        if lam == (1,) * (2 * n) or any(lam.count(p) % 2 for p in set(lam) if p % 2):
-            continue
-        odd = sum(p % 2 for p in lam)
-        dims.append(Fraction(4 * n * n + 2 * n - conjugate_square_sum(lam) - odd, 2))
-    return sorted(dims)
+    """Nonzero nilpotent orbit dimensions of sp(2n)."""
+    return sorted(Fraction(4 * n * n + 2 * n - conjugate_square_sum(lam)
+                           - sum(p % 2 for p in lam), 2)
+                  for lam in sp_partitions(n))
 
 
 ORBITS = {
@@ -78,6 +89,25 @@ ORBITS = {
     "g2": [6, 8, 10, 12],
 }
 
+PARTITIONS = {
+    "a1": sl_partitions(2),
+    "a2": sl_partitions(3),
+    "a3": sl_partitions(4),
+    "a4": sl_partitions(5),
+    "b2": so_partitions(5),
+    "b3": so_partitions(7),
+    "b4": so_partitions(9),
+    "c3": sp_partitions(3),
+    "c4": sp_partitions(4),
+    "d4": so_partitions(8, type_d=True),
+}
+
+# the nonzero even orbits: in the classical types the partitions whose parts
+# all have one parity (Collingwood and McGovern, ch. 3 and 5); G2 has two
+EVEN_ORBITS = {name: sum(len({p % 2 for p in lam}) == 1 for lam in parts)
+               for name, parts in PARTITIONS.items()}
+EVEN_ORBITS["g2"] = 2
+
 
 def test_partition_formulas_known_values():
     assert sl_orbits(3) == [4, 6]
@@ -85,6 +115,8 @@ def test_partition_formulas_known_values():
     assert so_orbits(5) == [4, 6, 8]
     assert len(so_orbits(7)) == 6 and len(sp_orbits(3)) == 7
     assert len(so_orbits(8, type_d=True)) == 11
+    assert EVEN_ORBITS == {"a1": 1, "a2": 1, "a3": 3, "a4": 2, "b2": 2, "b3": 4, "b4": 7,
+                           "c3": 4, "c4": 6, "d4": 9, "g2": 2}
 
 
 @pytest.mark.parametrize("type_name", sorted(ORBITS))
@@ -96,21 +128,32 @@ def test_strata_are_nilpotent_orbits(type_name, summary_of):
     assert len(summary.max_component_indices) == 1
 
 
-@pytest.mark.parametrize("type_name", sorted(ORBITS))
-def test_kostant_labels(type_name, summary_of):
-    """Kostant's label law: the labels -2<l, alpha_i> of a stratum's l on the
-    simple roots form the weighted Dynkin diagram of its orbit, so each lies
-    in {0, 1, 2} and no two strata share them (Collingwood and McGovern,
-    ch. 3).  The simple roots are the unit vectors of `root_system`'s basis."""
-    summary = summary_of(f"adjoint:{type_name}")
+def kostant_labels(summary):
+    """The labels -2<l, alpha_i> of each stratum's l on the simple roots,
+    the unit vectors of `root_system`'s basis."""
     space = summary.problem.space
     simple = [tuple(Fraction(int(i == j)) for j in range(space.rank))
               for i in range(space.rank)]
     assert set(simple) <= set(summary.problem.roots)
-    labels = [tuple(-2 * space.inner(s.l, alpha) for alpha in simple)
-              for s in summary.strata]
+    return [tuple(-2 * space.inner(s.l, alpha) for alpha in simple)
+            for s in summary.strata]
+
+
+@pytest.mark.parametrize("type_name", sorted(ORBITS))
+def test_kostant_labels(type_name, summary_of):
+    """Kostant's label law: the labels of a stratum's l form the weighted
+    Dynkin diagram of its orbit, so each lies in {0, 1, 2} and no two strata
+    share them (Collingwood and McGovern, ch. 3)."""
+    labels = kostant_labels(summary_of(f"adjoint:{type_name}"))
     assert {x for row in labels for x in row} <= {0, 1, 2}
     assert len(set(labels)) == len(labels)
+
+
+@pytest.mark.parametrize("type_name", sorted(ORBITS))
+def test_even_orbit_count(type_name, summary_of):
+    """A stratum with no label 1 is an even orbit."""
+    labels = kostant_labels(summary_of(f"adjoint:{type_name}"))
+    assert sum(1 not in row for row in labels) == EVEN_ORBITS[type_name]
 
 
 def test_direct_sum_strata_pair_the_orbits(summary_of):

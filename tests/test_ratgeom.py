@@ -127,13 +127,20 @@ class TestGram:
             space.inner((Q(1), Q(2)), (Q(1), Q(2)))
 
 
+IDENTITY = make_space([[1, 0], [0, 1]])
+
+
 def independent_subsets(points, max_size):
     """The subsets `IntegerLattice.subset_feet` yields for weights at
-    `points`; which subsets are affinely independent does not depend on the
-    form."""
-    space = make_space([[1, 0], [0, 1]])
-    lattice = integer_lattice(space, [], [(p, 1) for p in points])
+    `points`; they depend on which subsets are affinely independent and span
+    which flats, not on the form."""
+    lattice = integer_lattice(IDENTITY, [], [(p, 1) for p in points])
     return [subset for subset, _ in lattice.subset_feet(max_size)]
+
+
+def feet(points, subsets):
+    """The distinct feet `perp` gives the subsets."""
+    return {perp(IDENTITY, [points[i] for i in subset]) for subset in subsets}
 
 
 class TestAffineSubsets:
@@ -147,8 +154,10 @@ class TestAffineSubsets:
         points = [parse_vector(p) for p in ([0, 0], [1, 1], [2, 2])]
         subsets = set(independent_subsets(points, 3))
         assert (0, 1, 2) not in subsets
-        assert (0, 2) in subsets
-        assert len(subsets) == 6  # three singles, three pairs
+        # (0, 2) spans the line of (0, 1), the least index of its class
+        assert (0, 1) in subsets and (0, 2) not in subsets
+        assert len(subsets) == 5  # three singles, (0, 1) and (1, 2)
+        assert feet(points, subsets) == feet(points, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
 
     def test_size_limit(self):
         points = [parse_vector(p) for p in ([0, 0], [1, 0], [0, 1])]
@@ -183,13 +192,21 @@ class TestAffineSubsets:
                 rank += 1
             return rank
 
+        def flat(comb):
+            """The indices of the points in the affine hull of comb."""
+            return frozenset(i for i, q in enumerate(points)
+                             if affine_rank([points[j] for j in comb] + [q]) == len(comb) - 1)
+
         expected = set()
         for size in (1, 2, 3):
             for comb in combinations(range(len(points)), size):
                 subset = [points[i] for i in comb]
                 if affine_rank(subset) == size - 1:
                     expected.add(comb)
-        assert set(independent_subsets(points, 3)) == expected
+        found = set(independent_subsets(points, 3))
+        assert found <= expected
+        assert {flat(comb) for comb in found} == {flat(comb) for comb in expected}
+        assert feet(points, found) == feet(points, expected)
 
 
 class TestPerp:
