@@ -52,10 +52,17 @@ def equality_set(sub: ValidatedProblem,
     """Candidates of `sub` whose counting bound is an equality, one per
     Weyl orbit; the enumeration tests no others.
 
-    A restriction without roots has none, so it is not enumerated: the
-    origin lies in the convex hull of its weights (the projected foot of
-    the parent candidate), so every direction has a weight strictly below
-    level 1 and the equality count 0 is unreachable.
+    A restriction whose floor on the multiplicity below level 1 exceeds
+    |R'|/2 has none, so it is not enumerated.  The floor is
+    max(1, m_0 + sum over pairs {w, -w} of min(m_w, m_-w)), m_0 the zero
+    weight's multiplicity, and holds for every direction l':
+    - the zero weight, and one weight of each pair, has <l', .> <= 0 < 1;
+    - the origin lies in the convex hull of the weights (the projected foot
+      of the parent candidate), so some weight is always below level 1;
+    - the roots are closed under negation, so at most |R'|/2 are negative;
+    - an equality needs as many negative roots as multiplicity below.
+    Without roots the floor 1 exceeds 0 before any count, so a rootless
+    restriction returns ahead of the memo, which would hash its lattice.
 
     The memo key is the integer lattice, without the constraint chain:
     enumeration reads only the lattice and the subset-size limit, which
@@ -66,7 +73,12 @@ def equality_set(sub: ValidatedProblem,
         return ()
     cache = {} if cache is None else cache
     if key not in cache:
-        cache[key] = enumerate_candidates(sub, equality=True)
+        mult = dict(zip(key.weights, key.mults))
+        # twice the floor: the sum meets each pair twice and the zero weight once
+        twice = mult.get((0,) * len(key.gram), 0) + sum(
+            min(m, mult.get(tuple(-x for x in w), 0)) for w, m in mult.items())
+        empty = sub.constraints and twice > len(key.roots)
+        cache[key] = () if empty else enumerate_candidates(sub, equality=True)
     return cache[key]
 
 

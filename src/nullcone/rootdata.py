@@ -647,6 +647,8 @@ def _gl2_ex3(a: object, b: object) -> Problem:
 def _torus(*vectors: Sequence[object]) -> Problem:
     if not vectors:
         raise InputError("torus needs at least one weight vector")
+    if not all(vectors):
+        raise InputError("torus weight vectors must not be empty")
     vecs = [parse_vector(v) for v in vectors]
     rank = len(vecs[0])
     if any(len(v) != rank for v in vecs):
@@ -717,7 +719,7 @@ def parse_catalog_spec(text: str) -> Problem:
                        [parse_catalog_spec(parts[0]), parse_catalog_spec(parts[1])])
     if name == "torus":
         vectors = [[tok.strip() for tok in group.split(",") if tok.strip() != ""]
-                   for group in arg.split("|")]
+                   for group in arg.split("|")] if arg.strip() else []
         return catalog("torus", vectors)
     args = [tok.strip() for tok in arg.split(",") if tok.strip() != ""]
     return catalog(name, args)

@@ -133,7 +133,7 @@ TRACED_QUBITS4 = {
     "engine.tree.nodes": 38,
     "engine.restrict.calls": 38,
     "engine.equality_set.calls": 38,
-    "engine.equality_set.enumerations": 18,
-    "candidates.enumerate.calls": 19,
+    "engine.equality_set.enumerations": 14,
+    "candidates.enumerate.calls": 15,
     "candidates.kept": 34,
 }

@@ -255,24 +255,34 @@ def test_root_level_work_counts(monkeypatch, source, counts):
 
 
 @pytest.mark.parametrize("source, counts", [
-    ("qubits3.json", (11, 0, 20, 0, 0)),
-    ("qubits4.json", (38, 0, 152, 0, 0)),
-    ("sl3-forms:6", (33, 0, 42, 0, 0)),
+    ("qubits3.json", (11, 0, 20, 0, 0, 33)),
+    ("qubits4.json", (38, 0, 120, 0, 0, 198)),
+    ("sl3-forms:6", (33, 0, 33, 0, 0, 3)),
 ])
 def test_tree_level_work_counts(monkeypatch, source, counts):
     """One `stratify`'s (hull LPs, Weyl orbits, level passes, lattices built
-    by `integer_lattice`, `GramSpace.inner` calls outside `check_foot`).
+    by `integer_lattice`, `GramSpace.inner` calls outside `check_foot`,
+    `subset_feet` nodes at tree nodes).
     The hull LP runs only on feet in the anti-dominant chamber, at the root
     and at every tree node, so dedup needs no orbit: these stay far below
     the (40, 11), (360, 38) and (176, 33) of grouping each node's equality
     candidates into orbits.  A restriction reuses its candidate's levels and
-    integer foot, so the last three stay below the (31, 6, 14),
+    integer foot, so the next three stay below the (31, 6, 14),
     (190, 18, 42) and (75, 6, 34) of restricting along l in Fractions and
-    clearing the denominators again."""
+    clearing the denominators again.  `equality_set` enumerates no node
+    whose floor on the multiplicity below level 1 rules an equality out: the
+    level passes and the tree-level nodes stay below the (152, 422) and
+    (42, 23) of enumerating every rooted node on qubits4 and sl3-forms:6."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    calls = dict.fromkeys(["hull", "orbit", "levels", "lattice", "inner"], 0)
+    calls = dict.fromkeys(["hull", "orbit", "levels", "lattice", "inner", "nodes"], 0)
     checking = []
+    subset_feet = IntegerLattice.subset_feet
+
+    def tree_nodes(lattice, max_size, dedup=False):
+        for item in subset_feet(lattice, max_size, dedup):
+            calls["nodes"] += lattice is not problem.lattice
+            yield item
 
     def counted(key, fn):
         def wrapper(*args):
@@ -298,6 +308,7 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
     monkeypatch.setattr(rootdata, "integer_lattice",
                         counted("lattice", rootdata.integer_lattice))
     monkeypatch.setattr(GramSpace, "inner", counted("inner", GramSpace.inner))
+    monkeypatch.setattr(IntegerLattice, "subset_feet", tree_nodes)
     monkeypatch.setattr(engine, "check_foot", check_foot)
     stratify(problem)
     assert tuple(calls.values()) == counts

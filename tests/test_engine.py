@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 from fractions import Fraction as Q
+from hypothesis import given, settings, strategies as st
 
 from nullcone import engine
 from nullcone.candidates import Candidate, enumerate_candidates
+from nullcone.cli import load_problem
 from nullcone.engine import (
     SignedTree,
     build_tree,
@@ -19,7 +21,7 @@ from nullcone.engine import (
     stratify,
     stratum_report,
 )
-from nullcone.oracle import compare_with_naive, random_problem
+from nullcone.oracle import compare_with_naive, random_problem, random_torus_problem
 from nullcone.ratgeom import (
     InputError,
     InvariantError,
@@ -32,6 +34,7 @@ from nullcone.rootdata import (
     IntegerLattice,
     Problem,
     catalog,
+    direct_sum,
     integer_lattice,
     parse_catalog_spec,
     validate,
@@ -194,6 +197,84 @@ class TestEqualitySet:
         first = equality_set(sub, cache)
         assert list(cache) == [sub.lattice]
         assert equality_set(sub, cache) == first
+
+
+def _floor(sub):
+    """The floor of `equality_set` on the multiplicity below level 1, on the
+    Fraction weights: the zero weight and one weight of each pair {w, -w}
+    lie below level 1 against every direction, and at least one weight does."""
+    mults = dict(sub.weights)
+    zero = (Q(0),) * sub.rank
+    pairs = sum(min(m, mults.get(vscale(Q(-1), w), 0)) for w, m in mults.items() if w > zero)
+    return max(1, mults.get(zero, 0) + pairs)
+
+
+def _enumerates(sub):
+    """Whether `equality_set` enumerates `sub`."""
+    calls = []
+    enumerate_all = engine.enumerate_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_all(*args, **kwargs)
+
+    engine.enumerate_candidates = counted
+    try:
+        equality_set(sub)
+    finally:
+        engine.enumerate_candidates = enumerate_all
+    return bool(calls)
+
+
+def _floor_nodes(problem):
+    """Each tree node below `problem` with its children and whether its
+    floor exceeds |R'|/2, once `equality_set` is checked to be the equality
+    enumeration, to enumerate exactly where the floor does not exceed |R'|/2,
+    and the unpruned enumeration to be empty where it does."""
+    todo = [(problem, enumerate_candidates(problem))]
+    while todo:
+        node, cands = todo.pop()
+        for cand in cands:
+            sub = restrict(node, cand)
+            children = enumerate_candidates(sub, equality=True)
+            assert equality_set(sub) == children
+            floor = 2 * _floor(sub) > len(sub.roots)
+            assert _enumerates(sub) != floor
+            if floor:
+                assert enumerate_candidates(sub, dedup=False, equality=True) == ()
+            yield sub, children, floor
+            todo.append((sub, children))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.one_of(st.none(), st.integers(0, 10 ** 6)))
+def test_floor_rules_out_equality_random(seed, centre):
+    # a torus summand gives the roots a centre that the weights reach
+    problem = random_problem(random.Random(seed))
+    if centre is not None:
+        problem = direct_sum(problem, random_torus_problem(random.Random(centre), 1))
+    list(_floor_nodes(validate(problem)))
+
+
+def test_floor_rules_out_equality_catalog():
+    fired = {floor for spec in CATALOG_SPECS
+             for _, _, floor in _floor_nodes(validate(parse_catalog_spec(spec)))}
+    assert fired == {False, True}
+
+
+def test_floor_boundary_on_qubits4():
+    # 8 weights in 4 pairs against 6 roots: the floor 4 exceeds 3, and none
+    # has a child; 2 weights against 2 roots: the floor 1 does not exceed
+    # 1, and each has one
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems" / "qubits4.json"
+    nodes = {}
+    for sub, children, floor in _floor_nodes(validate(load_problem(str(path)))):
+        key = len(sub.weights), len(sub.roots), _floor(sub), floor
+        nodes.setdefault(key, []).append(len(children))
+    assert nodes[8, 6, 4, True] == [0] * 4
+    assert nodes[2, 2, 1, False] == [1] * 4
+    assert sum(len(v) for k, v in nodes.items() if k[-1]) == 24
+    assert sum(len(v) for v in nodes.values()) == 38
 
 
 def _half_root_a1_a1():

@@ -292,6 +292,17 @@ class TestCli:
         assert main(["stratify", "adjoint:a1", flag, str(target)]) == 1
         assert f"error: {target}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("torus:", "torus needs at least one weight vector"),
+        ("torus: ", "torus needs at least one weight vector"),
+        ("torus:|", "torus weight vectors must not be empty"),
+        ("torus:1,0||0,1", "torus weight vectors must not be empty"),
+        ("torus:1,0|", "torus weight vectors must not be empty"),
+    ])
+    def test_empty_torus_spec(self, spec, message, capsys):
+        assert main(["stratify", spec]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec", ["sl2-forms:x", "sl3-forms:1.5"])
     def test_malformed_catalog_integer(self, spec, capsys):
         assert main(["stratify", spec]) == 1
