@@ -15,19 +15,12 @@ levels and integer foot (`IntegerLattice.restrict`): no Fraction arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .candidates import Candidate, check_foot, enumerate_candidates
 from .ratgeom import InputError, InvariantError, Vec, integer_point
-from .rootdata import (
-    IntegerLattice,
-    Problem,
-    ValidatedProblem,
-    orbit_closure,  # noqa: F401 (bench/tracer.py wraps it under this name)
-    validate,
-)
-
-Cache = dict[IntegerLattice, tuple[Candidate, ...]]
+from .rootdata import Problem, ValidatedProblem, validate
+from .rootdata import orbit_closure  # noqa: F401 (bench/tracer.py wraps it under this name)
 
 
 def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
@@ -47,8 +40,7 @@ def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
                             problem.constraints + (cand.l,))
 
 
-def equality_set(sub: ValidatedProblem,
-                 cache: Optional[Cache] = None) -> tuple[Candidate, ...]:
+def equality_set(sub: ValidatedProblem) -> tuple[Candidate, ...]:
     """Candidates of `sub` whose counting bound is an equality, one per
     Weyl orbit; the enumeration tests no others.
 
@@ -62,24 +54,17 @@ def equality_set(sub: ValidatedProblem,
     - the roots are closed under negation, so at most |R'|/2 are negative;
     - an equality needs as many negative roots as multiplicity below.
     Without roots the floor 1 exceeds 0 before any count, so a rootless
-    restriction returns ahead of the memo, which would hash its lattice.
-
-    The memo key is the integer lattice, without the constraint chain:
-    enumeration reads only the lattice and the subset-size limit, which
-    never binds: a saturated weight set spans at most its affine hull.
+    restriction returns before the floor is counted.
     """
-    key = sub.lattice
-    if sub.constraints and not key.roots:
+    lattice = sub.lattice
+    if sub.constraints and not lattice.roots:
         return ()
-    cache = {} if cache is None else cache
-    if key not in cache:
-        mult = dict(zip(key.weights, key.mults))
-        # twice the floor: the sum meets each pair twice and the zero weight once
-        twice = mult.get((0,) * len(key.gram), 0) + sum(
-            min(m, mult.get(tuple(-x for x in w), 0)) for w, m in mult.items())
-        empty = sub.constraints and twice > len(key.roots)
-        cache[key] = () if empty else enumerate_candidates(sub, equality=True)
-    return cache[key]
+    mult = dict(zip(lattice.weights, lattice.mults))
+    # twice the floor: the sum meets each pair twice and the zero weight once
+    twice = mult.get((0,) * len(lattice.gram), 0) + sum(
+        min(m, mult.get(tuple(-x for x in w), 0)) for w, m in mult.items())
+    empty = sub.constraints and twice > len(lattice.roots)
+    return () if empty else enumerate_candidates(sub, equality=True)
 
 
 @dataclass(frozen=True)
@@ -93,11 +78,10 @@ class SignedTree:
         return "+" if self.plus else "-"
 
 
-def build_tree(problem: ValidatedProblem, cand: Candidate,
-               cache: Optional[Cache] = None) -> SignedTree:
+def build_tree(problem: ValidatedProblem, cand: Candidate) -> SignedTree:
     """The signed tree of a candidate of `problem`."""
     sub = restrict(problem, cand)
-    children = tuple(build_tree(sub, c, cache) for c in equality_set(sub, cache))
+    children = tuple(build_tree(sub, c) for c in equality_set(sub))
     plus_children = sum(1 for child in children if child.plus)
     if plus_children > 1:
         raise InvariantError(f"node {cand.l} has {plus_children} plus children; "
@@ -166,11 +150,10 @@ def stratify(problem: Union[Problem, ValidatedProblem],
     """Full run: candidates, signed trees, strata, null-cone summary."""
     if isinstance(problem, Problem):
         problem = validate(problem)
-    cache: Cache = {}
     decisions = []
     for cand in enumerate_candidates(problem, dedup=dedup):
         check_foot(problem, cand)
-        decisions.append(CandidateDecision(cand, build_tree(problem, cand, cache)))
+        decisions.append(CandidateDecision(cand, build_tree(problem, cand)))
     reports = [stratum_report(problem, d.candidate)
                for d in decisions if d.stratifying]
     strata = tuple(sorted(reports, key=lambda s: (-s.dim, s.l)))

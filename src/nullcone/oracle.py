@@ -38,7 +38,7 @@ from .rootdata import (
     validate,
 )
 
-DEFAULT_MAX_WEIGHTS = 16
+MAX_WEIGHTS = 16
 
 
 @dataclass
@@ -48,14 +48,13 @@ class OracleReport:
     law_violations: list[str]
 
 
-def naive_candidates(problem: ValidatedProblem, dedup: bool = True,
-                     max_weights: int = DEFAULT_MAX_WEIGHTS) -> tuple[Vec, ...]:
+def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec, ...]:
     """Candidate vectors from an exhaustive scan of all weight subsets."""
     entries = problem.weights
     n = len(entries)
-    if n > max_weights:
+    if n > MAX_WEIGHTS:
         raise ResourceError(
-            f"{n} distinct weights exceed the naive-subset bound {max_weights}")
+            f"{n} distinct weights exceed the naive-subset bound {MAX_WEIGHTS}")
     space = problem.space
     points = [v for v, _ in entries]
     found: set[Vec] = set()
@@ -90,12 +89,11 @@ def naive_candidates(problem: ValidatedProblem, dedup: bool = True,
 
 
 def compare_with_naive(problem: Union[Problem, ValidatedProblem],
-                       dedup: bool = True,
-                       max_weights: int = DEFAULT_MAX_WEIGHTS) -> OracleReport:
+                       dedup: bool = True) -> OracleReport:
     if isinstance(problem, Problem):
         problem = validate(problem)
     engine_set = {c.l for c in enumerate_candidates(problem, dedup=dedup)}
-    oracle_set = set(naive_candidates(problem, dedup=dedup, max_weights=max_weights))
+    oracle_set = set(naive_candidates(problem, dedup=dedup))
     mismatches = [(l, "engine") for l in sorted(engine_set - oracle_set)]
     mismatches += [(l, "oracle") for l in sorted(oracle_set - engine_set)]
     return OracleReport(not mismatches, mismatches, [])

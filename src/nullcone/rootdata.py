@@ -718,8 +718,7 @@ def parse_catalog_spec(text: str) -> Problem:
         return catalog("direct-sum",
                        [parse_catalog_spec(parts[0]), parse_catalog_spec(parts[1])])
     if name == "torus":
-        vectors = [[tok.strip() for tok in group.split(",") if tok.strip() != ""]
+        vectors = [[tok.strip() for tok in group.split(",")] if group.strip() else []
                    for group in arg.split("|")] if arg.strip() else []
         return catalog("torus", vectors)
-    args = [tok.strip() for tok in arg.split(",") if tok.strip() != ""]
-    return catalog(name, args)
+    return catalog(name, [tok.strip() for tok in arg.split(",")] if arg.strip() else [])

@@ -258,6 +258,7 @@ def test_root_level_work_counts(monkeypatch, source, counts):
     ("qubits3.json", (11, 0, 20, 0, 0, 33)),
     ("qubits4.json", (38, 0, 120, 0, 0, 198)),
     ("sl3-forms:6", (33, 0, 33, 0, 0, 3)),
+    ("adjoint:d4", (61, 0, 197, 0, 0, 472)),
 ])
 def test_tree_level_work_counts(monkeypatch, source, counts):
     """One `stratify`'s (hull LPs, Weyl orbits, level passes, lattices built
@@ -272,7 +273,9 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
     clearing the denominators again.  `equality_set` enumerates no node
     whose floor on the multiplicity below level 1 rules an equality out: the
     level passes and the tree-level nodes stay below the (152, 422) and
-    (42, 23) of enumerating every rooted node on qubits4 and sl3-forms:6."""
+    (42, 23) of enumerating every rooted node on qubits4 and sl3-forms:6.
+    Tree nodes keep no state between branches: on adjoint:d4 several nodes
+    restrict to the same lattice, and each of them is enumerated afresh."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
     calls = dict.fromkeys(["hull", "orbit", "levels", "lattice", "inner", "nodes"], 0)

@@ -152,7 +152,7 @@ class TestRestrict:
             except InvariantError:
                 print("raised")
             equality_set = engine.equality_set
-            engine.equality_set = lambda sub, cache=None: equality_set(sub, cache) * 2
+            engine.equality_set = lambda sub: equality_set(sub) * 2
             try:
                 engine.build_tree(problem, cand)
             except InvariantError as exc:
@@ -190,13 +190,6 @@ class TestEqualitySet:
 
         monkeypatch.setattr(engine, "enumerate_candidates", unreachable)
         assert equality_set(sub) == ()
-
-    def test_cache_reuse(self):
-        sub = _sub("gl2-ex3:2,1", ["1/3", "1/3"])
-        cache = {}
-        first = equality_set(sub, cache)
-        assert list(cache) == [sub.lattice]
-        assert equality_set(sub, cache) == first
 
 
 def _floor(sub):
@@ -518,6 +511,26 @@ class TestStratify:
             assert stratum.parabolic_root_indices == tuple(
                 i for i, a in enumerate(problem.roots) if space.inner(l, a) >= 0)
             assert set(stratum.levi_root_indices) <= set(stratum.parabolic_root_indices)
+
+
+def _check_dedup_law(problem):
+    """Dedup keeps one stratum per Weyl orbit and loses none: each stratum
+    spread over the orbit of its l gives the strata of the run without dedup,
+    dimensions included."""
+    summary = stratify(problem)
+    spread = sorted((l, s.dim) for s in summary.strata for l in summary.problem.orbit(s.l))
+    assert spread == sorted((s.l, s.dim) for s in stratify(problem, dedup=False).strata)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_dedup_law_catalog(spec):
+    _check_dedup_law(parse_catalog_spec(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_dedup_law_random(seed):
+    _check_dedup_law(random_problem(random.Random(seed)))
 
 
 @pytest.mark.parametrize("b", ["-19/10", "-1", "-1/2", "-1/1000",

@@ -39,9 +39,6 @@ class TestNaive:
         assert len(problem.weights) == 17
         with pytest.raises(ResourceError):
             naive_candidates(problem)
-        small = validate(parse_catalog_spec("gl2-ex3:2,1"))
-        with pytest.raises(ResourceError):
-            naive_candidates(small, max_weights=2)
 
     def test_medium_binary_forms(self):
         problem = validate(parse_catalog_spec("sl2-forms:12"))

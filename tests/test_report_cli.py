@@ -303,6 +303,17 @@ class TestCli:
         assert main(["stratify", spec]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("torus:1,,0|0,1", "not a rational: ''"),
+        ("sl2-forms:2,,3", "sl2-forms degree must be an integer, got ''"),
+        ("gl2-ex3:2,,1", "gl2-ex3 takes exactly 2 parameter(s), got 3"),
+        ("adjoint:b2,", "adjoint takes exactly 1 parameter(s), got 2"),
+    ])
+    def test_empty_spec_parameter(self, spec, message, capsys):
+        # an empty entry is an error, not an absent one
+        assert main(["stratify", spec]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("spec", ["sl2-forms:x", "sl3-forms:1.5"])
     def test_malformed_catalog_integer(self, spec, capsys):
         assert main(["stratify", spec]) == 1
