@@ -11,9 +11,9 @@ so its flat is spanned by an affinely independent subset within that size
 bound and the scan cannot miss it; the brute-force oracle in `oracle`
 double-checks this on every tested instance.  `IntegerLattice.subset_feet`
 yields a spanning subset of each flat with its foot, updated from its
-prefix's foot by one fraction-free projection, and with dedup skips the
-subtrees that hold no foot in the chamber.  `candidate_from_subset` tests
-each distinct foot once: a foot f and l = f/|f|^2 determine each other.
+prefix's foot by one fraction-free projection; with dedup it visits weights
+by descending height and cuts the subtrees of feet in the positive cone,
+the chamber's polar.  `candidate_from_subset` tests each distinct foot once.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so

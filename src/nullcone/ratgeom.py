@@ -224,6 +224,25 @@ def echelon_extend(rows: EchelonRows, v: Sequence) -> Optional[EchelonRows]:
     return rows + [(piv, w)]
 
 
+def gauss_jordan(m: list[list[int]], what: str) -> int:
+    """Fraction-free Gauss-Jordan on the integer rows [N | B], N positive
+    definite, in place; returns det(N).  Pivot p sends each entry x of another
+    row to (p x - f y) // e, f being that row's entry in the pivot column, y
+    the pivot row's in x's and e the previous pivot.  The division is exact
+    (Bareiss 1968); N ends as det(N) I and B as adj(N) B."""
+    det = 1
+    for c, pivot_row in enumerate(m):
+        p = pivot_row[c]
+        if p <= 0:
+            raise InvariantError(f"singular {what}")
+        for i, row in enumerate(m):
+            if i != c:
+                f = row[c]
+                m[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
+        det = p
+    return det
+
+
 # ---------------------------------------------------------------------------
 # perpendicular foot
 
@@ -240,12 +259,8 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
     In integers, with base = b / s and each difference scaled to a primitive
     integer vector d_i (the hull is the same): the foot is
     (b + sum_i x_i d_i) / s where N x = r, N_ij = inner(d_i, d_j) and
-    r_i = -inner(d_i, b), over one common denominator.  N is positive
-    definite, so fraction-free Gauss-Jordan needs no row swap: pivot p sends
-    each entry x of another row to (p x - f y) // e, f being that row's
-    entry in the pivot column, y the pivot row's in x's and e the previous
-    pivot.  The division is exact (Bareiss 1968), and the last column ends
-    as det(N) x: the same foot a Fraction solve gives.
+    r_i = -inner(d_i, b), over one common denominator.  N is positive definite,
+    and `gauss_jordan` ends the last column as det(N) x, as Fractions would.
     """
     if not points:
         raise InputError("perp of an empty point set")
@@ -274,17 +289,7 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
         for j in range(i, k):
             system[i][j] = system[j][i] = space.inner(diffs[i], diffs[j])
     m = list(integer_rows(system, k + 1)[0])
-    det = 1
-    for c, pivot_row in enumerate(m):
-        p = pivot_row[c]
-        if p <= 0:
-            # a Gram matrix of independent vectors is positive definite
-            raise InvariantError(f"singular normal equations in perp of {list(points)}")
-        for i, row in enumerate(m):
-            if i != c:
-                f = row[c]
-                m[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
-        det = p
+    det = gauss_jordan(m, "normal equations in perp")
     return tuple(Q(det * x + sum(row[k] * d[j] for row, d in zip(m, diffs)), det * s)
                  for j, x in enumerate(b))
 

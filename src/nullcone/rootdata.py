@@ -23,7 +23,7 @@ from .ratgeom import (
     Q,
     ResourceError,
     Vec,
-    echelon_extend,
+    gauss_jordan,
     integer_point,
     integer_rows,
     is_zero_vec,
@@ -200,20 +200,45 @@ class IntegerLattice:
         return all(sum(map(mul, point, c)) <= 0 for _, c, _ in self.mirrors.values())
 
     @cached_property
-    def roots_span_weights(self) -> bool:
-        """Whether every weight lies in the span of the roots."""
-        rows: list = []
-        for a, _, _ in self.mirrors.values():
-            rows = echelon_extend(rows, a) or rows
-            if len(rows) == len(self.gram):
-                return True
-        return all(echelon_extend(rows, w) is None for w in self.weights)
+    def height(self) -> IntVec:
+        """gram 2rho, 2rho the sum of the lexicographically positive roots.  A
+        simple root alpha has s_alpha(2rho) = 2rho - 2 alpha, so <2rho, alpha> =
+        |alpha|^2: the covector is positive on the positive cone but at 0."""
+        zero = (0,) * len(self.gram)
+        total = [sum(x) for x in zip(zero, *(a for a in self.roots if a > zero))]
+        return tuple(sum(map(mul, row, total)) for row in self.gram)
+
+    @cached_property
+    def _cone_table(self) -> tuple[list[list[int]], list[IntVec], int]:
+        """The rows d_j of adj(C) A gram, the simple roots A and det(C), for
+        C = A gram A^T.  A positive root is simple when its reflection keeps
+        every other positive line positive (Humphreys 1990, 1.6-1.7)."""
+        lines, zero = list(self.mirrors.values()), [0] * len(self.gram)
+        simple = [(a, c) for a, c, n in lines
+                  if all([n * x - 2 * sum(map(mul, c, b)) * y for x, y in zip(b, a)] > zero
+                         for b, _, _ in lines if b != a)]
+        m = [[sum(map(mul, c, b)) for b, _ in simple] + list(c) for _, c in simple]
+        det = gauss_jordan(m, "Gram matrix of the simple roots")
+        return [row[len(m):] for row in m], [a for a, _ in simple], det
+
+    def in_positive_cone(self, point: IntVec) -> bool:
+        """Whether point lies in the cone of the positive roots: its
+        coefficients det(C) (d_j . point) on the simple roots are >= 0 and
+        rebuild it.  Past 0, only points with <point, 2rho> > 0 build the table."""
+        if sum(map(mul, self.height, point)) <= 0:
+            return not any(point)
+        rows, simple, det = self._cone_table
+        coeffs = [sum(map(mul, d, point)) for d in rows]
+        return min(coeffs) >= 0 and (len(simple) == len(point) or all(
+            sum(map(mul, coeffs, col)) == det * x for col, x in zip(zip(*simple), point)))
 
     def subset_feet(self, max_size: int,
                     dedup: bool = False) -> Iterator[tuple[tuple[int, ...], Foot]]:
-        """Affinely independent subsets of at most `max_size` weights, in
-        lexicographic order, at least one spanning each flat (affine hull),
-        with their feet `ratgeom.perp` as (point, den) in lowest terms, den > 0.
+        """Affinely independent subsets of at most `max_size` weights, at least
+        one spanning each flat (affine hull), with their feet `ratgeom.perp`
+        as (point, den) in lowest terms, den > 0.  A subset lists its indices
+        in visiting order: increasing without `dedup`, so lexicographic, and
+        with it by descending height <w, 2rho> (`height`), then index.
 
         The search is fraction-free Gram-Schmidt (Erlingsson, Kaltofen and
         Musser 1996).  A later index j of a subset S carries its residual u,
@@ -222,24 +247,23 @@ class IntegerLattice:
         covector gram u.  Adding j sends the foot f to f - (<f, u> / <u, u>) u,
         and each later residual and covector v to <u, u> v - <v, u> u; the
         form's scale cancels.  A zero residual puts w_j in aff(S), and equal
-        ones span one flat with S, so only the least index of each is kept.
+        ones span one flat with S, so only the first visited of each is kept.
 
-        With `dedup`, if the roots span the weights, a node with fewer than
-        `max_size` points and a dominant foot f (<f, alpha> >= 0 for each
-        positive root) is neither yielded nor extended.  f is then in the cone
-        of the positive roots, the polar of the anti-dominant chamber
-        (`in_chamber`), and each foot f' of a flat through f has
+        With `dedup`, a node with fewer than `max_size` points and a foot f
+        in the cone of the positive roots (`in_positive_cone`) is neither
+        yielded nor extended.  That cone is the polar of the anti-dominant
+        chamber (`in_chamber`), and each foot f' of a flat through f has
         <f', f - f'> = 0, so <f', f> = |f'|^2 > 0 unless f' = 0: f' is
-        outside that chamber or zero, as f is.
+        outside that chamber or zero, as f is.  The order makes each weight
+        in the cone a base pruned at once, and extensions go down in height.
         """
         if max_size < 1:
             raise InputError(f"max_size must be >= 1, got {max_size}")
         gram, weights, zero = self.gram, self.weights, [0] * len(self.gram)
-        positive = [c for _, c, _ in self.mirrors.values()] if dedup else None
-
-        def dominant(point):  # the cached span check runs last
-            return positive is not None and all(
-                sum(map(mul, point, c)) >= 0 for c in positive) and self.roots_span_weights
+        cut = self.in_positive_cone if dedup else lambda point: False
+        order = range(len(weights))
+        if dedup and max_size > 1:
+            order = sorted(order, key=lambda i: (-sum(map(mul, self.height, weights[i])), i))
 
         def extend(subset, point, den, residuals):
             inner = len(subset) + 1 < max_size
@@ -251,7 +275,7 @@ class IntegerLattice:
                 foot = tuple([a // g for a in moved]), norm * den // g
                 if not inner:
                     yield subset + (j,), foot
-                elif not dominant(foot[0]):
+                elif not cut(foot[0]):
                     chosen = subset + (j,)
                     yield chosen, foot
                     rest = {}
@@ -266,15 +290,16 @@ class IntegerLattice:
                                 rest[key] = i, [(norm * a - t * b) // g for a, b in zip(cv, cu)]
                     yield from extend(chosen, *foot, list(rest.items()))
 
-        for i, base in enumerate(weights):
+        for k, i in enumerate(order):
+            base = weights[i]
             g = math.gcd(self.weight_den, *base)
             foot = tuple(a // g for a in base), self.weight_den // g
             if max_size == 1:
                 yield (i,), foot
-            elif not dominant(foot[0]):
+            elif not cut(foot[0]):
                 yield (i,), foot
                 rest = {}
-                for j in range(i + 1, len(weights)):
+                for j in order[k + 1:]:
                     v = list(map(sub, weights[j], base))
                     g = math.gcd(*v)
                     if g:

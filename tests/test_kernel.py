@@ -6,6 +6,8 @@ must yield, in lexicographic order, affinely independent subsets that span
 every flat a brute-force rank test finds on Fractions, each with
 `ratgeom.perp` of it as its foot, projected (restricted) weights included;
 with `dedup` its prune must keep every nonzero chamber foot, and
+`IntegerLattice.in_positive_cone`, the test it prunes by, must agree with
+coefficients on the simple roots solved in Fractions.
 `IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`.
 The integer `orbit_closure` must equal a Fraction BFS under `reflect`.
 Testing each distinct foot once in `enumerate_candidates` must run the hull
@@ -19,6 +21,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as Q
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,7 @@ from nullcone.oracle import naive_candidates, random_problem, random_torus_probl
 from nullcone.ratgeom import (
     GramSpace,
     InputError,
+    InvariantError,
     ResourceError,
     in_convex_hull,
     is_zero_vec,
@@ -44,6 +48,7 @@ from nullcone.ratgeom import (
 )
 from nullcone.rootdata import (
     IntegerLattice,
+    Problem,
     direct_sum,
     integer_lattice,
     orbit_closure,
@@ -203,6 +208,28 @@ def _with_restrictions(problem, cands):
         yield from _with_restrictions(sub, equality_set(sub))
 
 
+def _rank(vectors):
+    """The rank of a list of vectors, by Fraction elimination."""
+    rows = [list(map(Q, v)) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def _has_centre(problem):
+    """Whether the roots span less than the whole space."""
+    return _rank(problem.roots) < problem.rank
+
+
 def _check_prune(problem):
     """`subset_feet` with `dedup` keeps every nonzero chamber foot, and
     without it yields every foot the brute force gives."""
@@ -218,28 +245,138 @@ def _check_prune(problem):
     assert {tuple(Q(a, den) for a in point) for point, den in feet[False]} \
         == {perp(problem.space, [points[i] for i in s])
             for s in _independent_subsets(points, size)}
-    return lattice.roots_span_weights
+    return _has_centre(problem)
+
+
+def _random_problems(seed, centre):
+    """`random_problem(seed)`, plus a torus summand when `centre` is given:
+    the summand gives the roots a centre that the weights reach."""
+    problem = random_problem(random.Random(seed), max_distinct=8)
+    if centre is not None:
+        problem = direct_sum(problem, random_torus_problem(random.Random(centre), 1))
+    return validate(problem)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.one_of(st.none(), st.integers(0, 10 ** 6)))
 def test_prune_keeps_the_chamber_feet_random(seed, centre):
-    # a torus summand gives the roots a centre that the weights reach
-    problem = random_problem(random.Random(seed), max_distinct=8)
-    if centre is not None:
-        problem = direct_sum(problem, random_torus_problem(random.Random(centre), 1))
-    problem = validate(problem)
-    for sub in _with_restrictions(problem, enumerate_candidates(problem)):
-        _check_prune(sub)
+    problem = _random_problems(seed, centre)
+    met = [_check_prune(sub)
+           for sub in _with_restrictions(problem, enumerate_candidates(problem))]
+    # the roots have a centre exactly when a torus is summed in or they are
+    # absent; a tree lattice's roots are orthogonal to its l, so it has one
+    assert met[0] == (centre is not None or not problem.roots)
+    assert set(met[1:]) <= {None, True}
 
 
 def test_prune_keeps_the_chamber_feet_catalog():
-    spans = set()
+    met = set()
     for spec in CATALOG_SPECS:
         problem = validate(parse_catalog_spec(spec))
         for sub in _with_restrictions(problem, enumerate_candidates(problem)):
-            spans.add(_check_prune(sub))
-    assert {False, True} <= spans
+            met.add(_check_prune(sub))
+    assert {False, True} <= met
+
+
+def _positive(v):
+    return next((a > 0 for a in v if a), False)
+
+
+def _simple_roots(lattice):
+    """The lexicographically positive roots that are not a sum of two."""
+    positive = [alpha for alpha in lattice.roots if _positive(alpha)]
+    sums = {tuple(map(add, a, b)) for a, b in itertools.combinations(positive, 2)}
+    return [alpha for alpha in positive if alpha not in sums]
+
+
+def _coefficients(simple, point):
+    """The x with sum_j x_j simple_j = point, in Fractions, or None."""
+    k = len(simple)
+    rows = [[Q(alpha[i]) for alpha in simple] + [Q(x)] for i, x in enumerate(point)]
+    x, used = [Q(0)] * k, set()
+    for col in range(k):
+        p = next((i for i, r in enumerate(rows) if r[col] and i not in used), None)
+        if p is not None:
+            used.add(p)
+            for i, r in enumerate(rows):
+                if i != p and r[col]:
+                    f = r[col] / rows[p][col]
+                    r[:] = [a - f * b for a, b in zip(r, rows[p])]
+    if any(r[-1] for r in rows if not any(r[:-1])):
+        return None  # outside the span of the roots
+    for p in used:
+        col = next(c for c in range(k) if rows[p][c])
+        x[col] = rows[p][-1] / rows[p][col]
+    return x
+
+
+def _check_cone(lattice, draw):
+    """`in_positive_cone` against Fraction coefficients on the simple roots,
+    on the positive roots, nonnegative and mixed combinations of the simple
+    roots, the zero vector and points off the span of the roots."""
+    rank = len(lattice.gram)
+    simple = _simple_roots(lattice)
+    assert _rank(simple) == len(simple) == _rank(lattice.roots)
+    zero = (0,) * rank
+    assert lattice.in_positive_cone(zero)
+    for alpha in lattice.roots:
+        if _positive(alpha):
+            assert lattice.in_positive_cone(alpha)
+            assert sum(map(mul, lattice.height, alpha)) > 0
+    # a unit vector off the span of the roots, if the roots have a centre
+    off = next((v for v in (tuple(int(i == j) for j in range(rank)) for i in range(rank))
+                if _rank(simple + [v]) > len(simple)), None)
+    for _ in range(6):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=len(simple),
+                               max_size=len(simple)))
+        if simple and draw(st.booleans()):
+            coeffs[draw(st.integers(0, len(simple) - 1))] = -draw(st.integers(1, 3))
+        point = [sum(c * alpha[i] for c, alpha in zip(coeffs, simple)) for i in range(rank)]
+        if off is not None and draw(st.booleans()):
+            point = [a + draw(st.sampled_from([-2, -1, 1, 2])) * b for a, b in zip(point, off)]
+        expected = _coefficients(simple, point)
+        assert (expected is not None and min(expected, default=0) >= 0) \
+            == lattice.in_positive_cone(tuple(point))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.one_of(st.none(), st.integers(0, 10 ** 6)), st.data())
+def test_positive_cone_random(seed, centre, data):
+    problem = _random_problems(seed, centre)
+    for sub in _with_restrictions(problem, enumerate_candidates(problem)):
+        _check_cone(sub.lattice, data.draw)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_positive_cone_catalog(data):
+    for spec in CATALOG_SPECS + ("adjoint:a4", "adjoint:d4", "adjoint:f4"):
+        _check_cone(validate(parse_catalog_spec(spec)).lattice, data.draw)
+
+
+def test_positive_cone_on_the_simple_root_basis():
+    """In the catalog's adjoint types the basis is the simple roots, so the
+    cone is the nonnegative orthant; so it is for b2 with its long roots
+    tripled, where the short root a1 + a2 is no longer a sum of two roots."""
+    box = list(itertools.product(range(-1, 2), repeat=2))
+    space, roots = root_system("b2")
+    long_tripled = [vscale(Q(3 if space.norm_sq(a) == 2 else 1), a) for a in roots]
+    for found in (roots, long_tripled):
+        problem = validate(Problem(space, tuple(found), tuple((a, 1) for a in found)))
+        assert [problem.lattice.in_positive_cone(p) for p in box] \
+            == [min(p) >= 0 for p in box]
+    for type_name in ("a3", "c3", "f4"):
+        lattice = validate(parse_catalog_spec(f"adjoint:{type_name}")).lattice
+        for p in itertools.product(range(-1, 2), repeat=len(lattice.gram)):
+            assert lattice.in_positive_cone(p) == (min(p) >= 0)
+
+
+def test_nonpositive_cone_pivot_raises():
+    """A form that is not positive definite makes a pivot nonpositive."""
+    lattice = IntegerLattice(gram=((-1,),), gram_den=1, weights=((1,),), weight_den=1,
+                             mults=(1,), roots=((-1,), (1,)), root_den=1)
+    with pytest.raises(InvariantError, match="singular Gram matrix of the simple roots"):
+        lattice.in_positive_cone((-1,))
 
 
 def _fraction_orbit(space, roots, v, cap):

@@ -80,12 +80,16 @@ ORBITS = {
     "a2": sl_orbits(3),
     "a3": sl_orbits(4),
     "a4": sl_orbits(5),
+    "a5": sl_orbits(6),
     "b2": so_orbits(5),
     "b3": so_orbits(7),
     "b4": so_orbits(9),
+    "b5": so_orbits(11),
     "c3": sp_orbits(3),
     "c4": sp_orbits(4),
+    "c5": sp_orbits(5),
     "d4": so_orbits(8, type_d=True),
+    "d5": so_orbits(10, type_d=True),
     "g2": [6, 8, 10, 12],
 }
 
@@ -94,12 +98,16 @@ PARTITIONS = {
     "a2": sl_partitions(3),
     "a3": sl_partitions(4),
     "a4": sl_partitions(5),
+    "a5": sl_partitions(6),
     "b2": so_partitions(5),
     "b3": so_partitions(7),
     "b4": so_partitions(9),
+    "b5": so_partitions(11),
     "c3": sp_partitions(3),
     "c4": sp_partitions(4),
+    "c5": sp_partitions(5),
     "d4": so_partitions(8, type_d=True),
+    "d5": so_partitions(10, type_d=True),
 }
 
 # the nonzero even orbits: in the classical types the partitions whose parts
@@ -115,8 +123,9 @@ def test_partition_formulas_known_values():
     assert so_orbits(5) == [4, 6, 8]
     assert len(so_orbits(7)) == 6 and len(sp_orbits(3)) == 7
     assert len(so_orbits(8, type_d=True)) == 11
-    assert EVEN_ORBITS == {"a1": 1, "a2": 1, "a3": 3, "a4": 2, "b2": 2, "b3": 4, "b4": 7,
-                           "c3": 4, "c4": 6, "d4": 9, "g2": 2}
+    assert EVEN_ORBITS == {"a1": 1, "a2": 1, "a3": 3, "a4": 2, "a5": 6, "b2": 2, "b3": 4,
+                           "b4": 7, "b5": 11, "c3": 4, "c4": 6, "c5": 9, "d4": 9, "d5": 9,
+                           "g2": 2}
 
 
 @pytest.mark.parametrize("type_name", sorted(ORBITS))
