@@ -13,7 +13,9 @@ double-checks this on every tested instance.  `IntegerLattice.subset_feet`
 yields a spanning subset of each flat with its foot, updated from its
 prefix's foot by one fraction-free projection; with dedup it visits weights
 by descending height and cuts the subtrees of feet in the positive cone,
-the chamber's polar.  `candidate_from_subset` tests each distinct foot once.
+the chamber's polar.  `candidate_from_subset` tests each distinct foot once,
+in integers; at a tree node its level pass stops at the first weight that
+rules an equality out.  Only a kept candidate gets its Fractions.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
@@ -58,19 +60,21 @@ def candidate_from_subset(problem: ValidatedProblem, foot: Foot,
 
     `foot` is the subset's foot as `IntegerLattice.subset_feet` yields it.
     Rejections: the affine hull passes through the origin; the counting
-    bound fails (with `equality`, is not an equality); the foot leaves the
-    convex hull of the saturated set.  The foot is the foot of the saturated
-    set too (see the module docstring), so it is not recomputed.
+    bound fails (with `equality`, is not an equality: the level pass stops
+    once it cannot be); the foot leaves the convex hull of the saturated
+    set.  The foot is the foot of the saturated set too (see the module
+    docstring), so it is not recomputed.
     """
     lattice = problem.lattice
     point, den = foot
     if not any(point):
         return None
-    l = lattice.direction(point, den)
-    levels = lattice.levels(l)
-    bound = levels.is_equality if equality else levels.holds
-    if bound and lattice.hull_contains(point, den, levels.on):
-        return Candidate(l, tuple(Q(a, den) for a in point), levels)
+    nums, d = lattice.direction(point, den)
+    levels = lattice.levels(nums, d, equality)
+    if levels is None or not (levels.is_equality if equality else levels.holds):
+        return None
+    if lattice.hull_contains(point, den, levels.on):
+        return Candidate(tuple(Q(a, d) for a in nums), tuple(Q(a, den) for a in point), levels)
     return None
 
 

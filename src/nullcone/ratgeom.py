@@ -8,6 +8,7 @@ but compute in Python ints with exact division, to the same results.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -85,6 +86,11 @@ def parse_vector(values: Sequence[object]) -> Vec:
 
 def vector_to_json(v: Vec) -> list[object]:
     return [rational_to_json(x) for x in v]
+
+
+def vector_text(v: Vec) -> str:
+    """v as a problem file writes it, for messages."""
+    return json.dumps(vector_to_json(v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -173,7 +179,8 @@ class GramSpace:
 
     def check_dim(self, v: Vec) -> None:
         if len(v) != self.rank:
-            raise InputError(f"vector {v} has length {len(v)}, expected {self.rank}")
+            raise InputError(f"vector {vector_text(v)} has length {len(v)}, "
+                             f"expected {self.rank}")
 
     @cached_property
     def integer_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -8,13 +8,12 @@ canonicalizes orderings so downstream reports can refer to stable indices.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from operator import mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .ratgeom import (
     GramSpace,
@@ -30,6 +29,7 @@ from .ratgeom import (
     parse_int,
     parse_rational,
     parse_vector,
+    vector_text,
     vector_to_json,
     vscale,
     vsub,
@@ -144,17 +144,24 @@ class IntegerLattice:
     roots: tuple[IntVec, ...]
     root_den: int
 
-    def levels(self, l: Vec) -> Levels:
-        """Sort the weights and roots against l in one integer pass.
-
-        With l = nums / den and the covector c = gram nums,
-        <l, weight i> = (c . weights[i]) / (den gram_den weight_den).
+    def levels(self, nums: IntVec, den: int, equality: bool = False) -> Optional[Levels]:
+        """Sort the roots and weights against l = nums / den, den > 0, in one
+        integer pass.  With the covector c = gram nums, root j lies on the
+        side of c . roots[j], and <l, weight i> = (c . weights[i]) /
+        (den gram_den weight_den).  With `equality`, None as soon as the
+        multiplicity below level 1 exceeds the count of negative roots: it
+        only grows, so the counting bound cannot be an equality.
         """
-        if len(l) != len(self.gram):
-            raise InputError(f"vector {l} has length {len(l)}, expected {len(self.gram)}")
-        nums, den = integer_point(l)
-        c = tuple(sum(map(mul, row, nums)) for row in self.gram)
+        if len(nums) != len(self.gram):
+            raise InputError(f"vector {vector_text(nums)} has length {len(nums)}, "
+                             f"expected {len(self.gram)}")
+        c = [sum(map(mul, row, nums)) for row in self.gram]
         one = den * self.gram_den * self.weight_den
+        sides: tuple[list[int], list[int], list[int]] = ([], [], [])
+        for j, alpha in enumerate(self.roots):
+            level = sum(map(mul, c, alpha))
+            sides[(level > 0) - (level < 0) + 1].append(j)
+        negative = len(sides[0])
         on: list[int] = []
         above: list[int] = []
         mult_below = mult_at_least = 0
@@ -162,13 +169,11 @@ class IntegerLattice:
             level = sum(map(mul, c, w))
             if level < one:
                 mult_below += self.mults[i]
+                if equality and mult_below > negative:
+                    return None
             else:
                 (on if level == one else above).append(i)
                 mult_at_least += self.mults[i]
-        sides: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for j, alpha in enumerate(self.roots):
-            level = sum(map(mul, c, alpha))
-            sides[(level > 0) - (level < 0) + 1].append(j)
         return Levels(tuple(on), tuple(above),
                       tuple(sides[0]), tuple(sides[1]), tuple(sides[2]),
                       mult_below, mult_at_least)
@@ -309,15 +314,16 @@ class IntegerLattice:
                             rest[key] = j, [sum(map(mul, row, key)) for row in gram]
                 yield from extend((i,), *foot, list(rest.items()))
 
-    def direction(self, point: IntVec, den: int) -> Vec:
-        """l = f / |f|^2 for the foot f = point / den, as Fractions.
+    def direction(self, point: IntVec, den: int) -> tuple[IntVec, int]:
+        """l = f / |f|^2 for the nonzero foot f = point / den, as (nums, d)
+        for nums / d, not in lowest terms.
 
         |f|^2 = (point . gram point) / (gram_den den^2), so
-        l = (gram_den den / (point . gram point)) point.
+        l = (gram_den den point) / (point . gram point).
         """
         norm = sum(a * sum(map(mul, row, point)) for a, row in zip(point, self.gram))
         scale = self.gram_den * den
-        return tuple(Q(a * scale, norm) for a in point)
+        return tuple(a * scale for a in point), norm
 
     def orthogonal(self, point: IntVec, v: Vec) -> bool:
         """Whether <point, v> = 0, in integers."""
@@ -495,29 +501,26 @@ def problem_violations(problem: Problem) -> list[str]:
     out: list[str] = []
     rank = problem.space.rank
 
-    def shown(v: Vec) -> str:
-        return json.dumps(vector_to_json(v))  # as a problem file writes it
-
     roots = sorted(problem.roots)
     root_set: set[Vec] = set()
     for alpha in roots:
         if len(alpha) != rank:
-            out.append(f"root {shown(alpha)} has length {len(alpha)}, expected {rank}")
+            out.append(f"root {vector_text(alpha)} has length {len(alpha)}, expected {rank}")
             return out
         if alpha in root_set:
-            out.append(f"duplicate root {shown(alpha)}")
+            out.append(f"duplicate root {vector_text(alpha)}")
         root_set.add(alpha)
         if is_zero_vec(alpha):
             out.append("zero vector listed as a root")
     by_direction: dict[Vec, set[Vec]] = {}
     for alpha in roots:
         if (minus := vscale(Q(-1), alpha)) not in root_set:
-            out.append(f"root set is not closed under negation: missing {shown(minus)}")
+            out.append(f"root set is not closed under negation: missing {vector_text(minus)}")
         if not is_zero_vec(alpha):
             by_direction.setdefault(_direction_key(alpha), set()).add(alpha)
     for line in by_direction.values():
         if len(line) > 2:
-            out.append(f"root set is not reduced on the line of {shown(min(line))}")
+            out.append(f"root set is not reduced on the line of {vector_text(min(line))}")
 
     entries = problem.weights
     if not entries:
@@ -525,13 +528,13 @@ def problem_violations(problem: Problem) -> list[str]:
     seen_weights: set[Vec] = set()
     for v, mult in entries:
         if len(v) != rank:
-            out.append(f"weight {shown(v)} has length {len(v)}, expected {rank}")
+            out.append(f"weight {vector_text(v)} has length {len(v)}, expected {rank}")
             return out
         if v in seen_weights:
-            out.append(f"duplicate weight vector {shown(v)}")
+            out.append(f"duplicate weight vector {vector_text(v)}")
         seen_weights.add(v)
         if mult < 1:
-            out.append(f"weight {shown(v)} has multiplicity {mult}, expected >= 1")
+            out.append(f"weight {vector_text(v)} has multiplicity {mult}, expected >= 1")
 
     if out:
         return out
@@ -540,9 +543,10 @@ def problem_violations(problem: Problem) -> list[str]:
     weight_points = {integer_point(v): m for v, m in entries}
     for j, mirror in integer_lattice(problem.space, roots, ()).mirrors.items():
         if {_reflected(mirror, p) for p in root_points} != root_points:
-            out.append(f"the reflection in root {shown(roots[j])} does not permute the roots")
+            out.append(f"the reflection in root {vector_text(roots[j])} "
+                       "does not permute the roots")
         if {_reflected(mirror, p): m for p, m in weight_points.items()} != weight_points:
-            out.append(f"the reflection in root {shown(roots[j])} does not preserve "
+            out.append(f"the reflection in root {vector_text(roots[j])} does not preserve "
                        "the weight multiset")
     return out
 

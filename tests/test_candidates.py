@@ -16,6 +16,7 @@ from nullcone.engine import stratify
 from nullcone.oracle import random_problem
 from nullcone.ratgeom import (
     GramSpace,
+    InputError,
     InvariantError,
     integer_point,
     is_zero_vec,
@@ -44,7 +45,7 @@ def _torus(gram, weights):
 
 
 def _levels(problem, l):
-    return problem.lattice.levels(parse_vector(l))
+    return problem.lattice.levels(*integer_point(parse_vector(l)))
 
 
 def _from_subset(problem, subset):
@@ -68,6 +69,12 @@ class TestCountBound:
         assert levels.roots_negative == (0,)  # just -alpha
         assert levels.mult_below == 2  # 0 and -alpha
         assert levels.holds and not levels.is_equality
+
+
+def test_levels_length_checked():
+    problem = _torus([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(InputError, match=r"vector \[3\] has length 1, expected 2$"):
+        problem.lattice.levels((3,), 2)
 
 
 def test_saturate_picks_whole_hyperplane():
@@ -99,7 +106,7 @@ class TestCandidateFromSubset:
         assert cand is not None
         assert cand.l == parse_vector([1, 0])
         assert cand.levels.on == (0, 1)  # (1,1) joins on {l = 1}
-        assert cand.levels.on == problem.lattice.levels(cand.l).on
+        assert cand.levels.on == _levels(problem, cand.l).on
         # the saturated pair gives the same candidate, deduped downstream
         again = _from_subset(problem, (0, 1))
         assert again == cand
@@ -187,6 +194,38 @@ class TestCheckFoot:
             check_foot(problem, wrong)
 
 
+def test_equality_exit_is_exact(monkeypatch):
+    """At every tree node, the level pass that stops at the first weight
+    taking the multiplicity below level 1 past the count of negative roots
+    accepts a foot exactly when the full pass of its l finds an equality and
+    the hull LP holds, with the same levels."""
+    original = candidates.candidate_from_subset
+    decided = []
+
+    def recording(problem, foot, equality=False):
+        cand = original(problem, foot, equality)
+        if equality:
+            decided.append((problem.lattice, foot, cand))
+        return cand
+
+    monkeypatch.setattr(candidates, "candidate_from_subset", recording)
+    problems = [load_problem(str(BENCH_PROBLEMS / name))
+                for name in ("qubits3.json", "qubits4.json")]
+    problems += [parse_catalog_spec("adjoint:d4")]
+    problems += [random_problem(random.Random(i)) for i in range(40)]
+    for problem in problems:
+        stratify(problem)
+    accepted = 0
+    for lattice, (point, den), cand in decided:
+        levels = any(point) and lattice.levels(*lattice.direction(point, den))
+        if levels and levels.is_equality and lattice.hull_contains(point, den, levels.on):
+            assert cand is not None and cand.levels == levels
+            accepted += 1
+        else:
+            assert cand is None
+    assert accepted >= 100 and len(decided) - accepted >= 200
+
+
 def test_subset_foot_is_member_foot():
     """The lemma in the module docstring, on the Fraction reference path:
     wherever the counting bound holds, the foot of the saturated set is the
@@ -256,15 +295,16 @@ def test_root_level_work_counts(monkeypatch, source, counts):
 
 
 @pytest.mark.parametrize("source, counts", [
-    ("qubits3.json", (11, 0, 20, 0, 0, 21)),
-    ("qubits4.json", (38, 0, 120, 0, 0, 186)),
-    ("sl3-forms:6", (33, 0, 33, 0, 0, 3)),
-    ("adjoint:d4", (61, 0, 197, 0, 0, 367)),
+    ("qubits3.json", (11, 0, 11, 9, 0, 0, 21)),
+    ("qubits4.json", (38, 0, 38, 82, 0, 0, 186)),
+    ("sl3-forms:6", (33, 0, 33, 0, 0, 0, 3)),
+    ("adjoint:d4", (61, 0, 73, 124, 0, 0, 367)),
 ])
 def test_tree_level_work_counts(monkeypatch, source, counts):
-    """One `stratify`'s (hull LPs, Weyl orbits, level passes, lattices built
-    by `integer_lattice`, `GramSpace.inner` calls outside `check_foot`,
-    `subset_feet` nodes at tree nodes).
+    """One `stratify`'s (hull LPs, Weyl orbits, full level passes, level
+    passes stopped early, lattices built by `integer_lattice`,
+    `GramSpace.inner` calls outside `check_foot`, `subset_feet` nodes at
+    tree nodes).
     The hull LP runs only on feet in the anti-dominant chamber, at the root
     and at every tree node, so dedup needs no orbit: these stay far below
     the (40, 11), (360, 38) and (176, 33) of grouping each node's equality
@@ -275,11 +315,16 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
     whose floor on the multiplicity below level 1 rules an equality out: the
     level passes and the tree-level nodes stay below the (152, 422) and
     (42, 23) of enumerating every rooted node on qubits4 and sl3-forms:6.
+    At a tree node the level pass of a foot stops at the first weight that
+    takes the multiplicity below level 1 past the count of negative roots,
+    so only a foot that can be an equality gets a full pass: the full and
+    stopped passes add up to the (20, 120, 33, 197) full passes made when
+    every foot was sorted to the end.
     Tree nodes keep no state between branches: on adjoint:d4 several nodes
     restrict to the same lattice, and each of them is enumerated afresh."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    calls = dict.fromkeys(["hull", "orbit", "levels", "lattice", "inner", "nodes"], 0)
+    calls = dict.fromkeys(["hull", "orbit", "full", "stopped", "lattice", "inner", "nodes"], 0)
     checking = []
     subset_feet = IntegerLattice.subset_feet
 
@@ -293,6 +338,13 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
             calls[key] += not checking
             return fn(*args)
         return wrapper
+
+    level_pass = IntegerLattice.levels
+
+    def passes(*args):
+        levels = level_pass(*args)
+        calls["full" if levels is not None else "stopped"] += 1
+        return levels
 
     check = engine.check_foot
 
@@ -308,7 +360,7 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
                         counted("hull", IntegerLattice.hull_contains))
     monkeypatch.setattr(rootdata, "orbit_closure",
                         counted("orbit", rootdata.orbit_closure))
-    monkeypatch.setattr(IntegerLattice, "levels", counted("levels", IntegerLattice.levels))
+    monkeypatch.setattr(IntegerLattice, "levels", passes)
     monkeypatch.setattr(rootdata, "integer_lattice",
                         counted("lattice", rootdata.integer_lattice))
     monkeypatch.setattr(GramSpace, "inner", counted("inner", GramSpace.inner))

@@ -25,6 +25,7 @@ from nullcone.oracle import compare_with_naive, random_problem, random_torus_pro
 from nullcone.ratgeom import (
     InputError,
     InvariantError,
+    integer_point,
     make_space,
     parse_vector,
     vscale,
@@ -48,6 +49,11 @@ def _candidate(problem, l):
     (cand,) = [c for c in enumerate_candidates(problem, dedup=False)
                if c.l == parse_vector(l)]
     return cand
+
+
+def _levels(problem, l):
+    """The levels of `problem` against a direction l, given as a list."""
+    return problem.lattice.levels(*integer_point(parse_vector(list(l))))
 
 
 def _sub(spec, l):
@@ -116,7 +122,7 @@ class TestRestrict:
         problem = validate(catalog("adjoint", ["a1"]))
         zero = parse_vector([0])
         with pytest.raises(InputError):
-            restrict(problem, Candidate(zero, zero, problem.lattice.levels(zero)))
+            restrict(problem, Candidate(zero, zero, _levels(problem, zero)))
 
     def test_non_orthogonal_vector_raises(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
@@ -388,19 +394,19 @@ class TestDimensions:
             ("3", "5/3"): 12,
         }
         for l, dim in expected.items():
-            assert problem.lattice.levels(parse_vector(list(l))).dimension == dim
+            assert _levels(problem, l).dimension == dim
 
     def test_orbit_independent(self):
         summary = stratify(parse_catalog_spec("adjoint:b2"))
         problem = summary.problem
         for stratum in summary.strata:
             for l in problem.orbit(stratum.l):
-                assert problem.lattice.levels(l).dimension == stratum.dim
+                assert _levels(problem, l).dimension == stratum.dim
 
     def test_openness(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
-        assert problem.lattice.levels(parse_vector([0, "1/2"])).is_equality
-        assert not problem.lattice.levels(parse_vector(["1/6", "1/6"])).is_equality
+        assert _levels(problem, [0, "1/2"]).is_equality
+        assert not _levels(problem, ["1/6", "1/6"]).is_equality
 
 
 def _strata_by_l(summary):

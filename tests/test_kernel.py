@@ -40,6 +40,7 @@ from nullcone.ratgeom import (
     InvariantError,
     ResourceError,
     in_convex_hull,
+    integer_point,
     is_zero_vec,
     perp,
     vscale,
@@ -97,7 +98,8 @@ def lattice_inputs(draw):
 @given(lattice_inputs())
 def test_levels_match_inner(data):
     space, roots, weights, l = data
-    levels = integer_lattice(space, roots, weights).levels(l)
+    lattice = integer_lattice(space, roots, weights)
+    levels = lattice.levels(*integer_point(l))
     by_inner = [space.inner(l, v) for v, _ in weights]
     assert levels.on == tuple(i for i, x in enumerate(by_inner) if x == 1)
     assert levels.above == tuple(i for i, x in enumerate(by_inner) if x > 1)
@@ -107,6 +109,9 @@ def test_levels_match_inner(data):
     assert levels.roots_positive == tuple(j for j, x in enumerate(root_sides) if x > 0)
     assert levels.mult_below == sum(m for (_, m), x in zip(weights, by_inner) if x < 1)
     assert levels.mult_at_least == sum(m for (_, m), x in zip(weights, by_inner) if x >= 1)
+    # the equality mode stops exactly when the bound cannot be an equality
+    stopped = lattice.levels(*integer_point(l), equality=True)
+    assert stopped == (None if levels.mult_below > len(levels.roots_negative) else levels)
 
 
 @settings(max_examples=150, deadline=None)

@@ -81,6 +81,7 @@ ORBITS = {
     "a3": sl_orbits(4),
     "a4": sl_orbits(5),
     "a5": sl_orbits(6),
+    "a6": sl_orbits(7),
     "b2": so_orbits(5),
     "b3": so_orbits(7),
     "b4": so_orbits(9),
@@ -99,6 +100,7 @@ PARTITIONS = {
     "a3": sl_partitions(4),
     "a4": sl_partitions(5),
     "a5": sl_partitions(6),
+    "a6": sl_partitions(7),
     "b2": so_partitions(5),
     "b3": so_partitions(7),
     "b4": so_partitions(9),
@@ -123,9 +125,10 @@ def test_partition_formulas_known_values():
     assert so_orbits(5) == [4, 6, 8]
     assert len(so_orbits(7)) == 6 and len(sp_orbits(3)) == 7
     assert len(so_orbits(8, type_d=True)) == 11
-    assert EVEN_ORBITS == {"a1": 1, "a2": 1, "a3": 3, "a4": 2, "a5": 6, "b2": 2, "b3": 4,
-                           "b4": 7, "b5": 11, "c3": 4, "c4": 6, "c5": 9, "d4": 9, "d5": 9,
-                           "g2": 2}
+    assert len(sl_orbits(7)) == 14
+    assert EVEN_ORBITS == {"a1": 1, "a2": 1, "a3": 3, "a4": 2, "a5": 6, "a6": 4, "b2": 2,
+                           "b3": 4, "b4": 7, "b5": 11, "c3": 4, "c4": 6, "c5": 9, "d4": 9,
+                           "d5": 9, "g2": 2}
 
 
 @pytest.mark.parametrize("type_name", sorted(ORBITS))

@@ -245,12 +245,15 @@ class TestPerp:
         # a long point was cut short by zip; a short one was caught only
         # through its difference with the base
         space = make_space([[1, 0], [0, 1]])
-        with pytest.raises(InputError, match=r"vector \(3, 4, 5\) has length 3"):
+        with pytest.raises(InputError, match=r"vector \[3, 4, 5\] has length 3"):
             perp(space, [(1, 2), (3, 4, 5)])
-        with pytest.raises(InputError, match=r"vector \(3,\) has length 1"):
+        with pytest.raises(InputError, match=r"vector \[3\] has length 1"):
             perp(space, [(1, 2), (3,)])
-        with pytest.raises(InputError, match=r"vector \(3,\) has length 1"):
+        with pytest.raises(InputError, match=r"vector \[3\] has length 1"):
             perp(space, [(1, 2), (0, 1), (1, 0), (3,)])
+        # in the JSON form of a problem file, as validation prints vectors
+        with pytest.raises(InputError, match=r'vector \["1/2"\] has length 1, expected 2$'):
+            perp(space, [(1, 2), (Q(1, 2),)])
 
     def test_origin_in_a_proper_flat_is_solved_for(self):
         # the line through -q and q holds the origin but is not the whole
