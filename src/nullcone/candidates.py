@@ -15,7 +15,8 @@ prefix's foot by one fraction-free projection; with dedup it visits weights
 by descending height and cuts the subtrees of feet in the positive cone,
 the chamber's polar.  `candidate_from_subset` tests each distinct foot once,
 in integers; at a tree node its level pass stops at the first weight that
-rules an equality out.  Only a kept candidate gets its Fractions.
+rules an equality out, and a foot at its members' centroid is in their hull
+with no LP.  Only a kept candidate gets its Fractions.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so

@@ -8,25 +8,24 @@ signed tree decides whether l labels a stratum: a node is plus exactly when
 no child is plus, and l is stratifying exactly when its root is plus.
 
 Everything stays in ambient coordinates; a restriction just remembers the
-chain of constraint vectors it is orthogonal to.  It reuses the candidate's
-levels and integer foot (`IntegerLattice.restrict`): no Fraction arithmetic.
+chain of constraint vectors it is orthogonal to.  It is built in integers
+from the candidate's levels and foot, and only where a floor allows children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .candidates import Candidate, check_foot, enumerate_candidates
 from .ratgeom import InputError, InvariantError, Vec, integer_point
-from .rootdata import Problem, ValidatedProblem, validate
+from .rootdata import Foot, IntegerLattice, Levels, Problem, ValidatedProblem, validate
 from .rootdata import orbit_closure  # noqa: F401 (bench/tracer.py wraps it under this name)
 
 
-def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
-    """Restriction of the given problem along its candidate `cand`; `cand.l`
-    joins the constraints.  The Weyl group is the one the surviving roots
-    generate."""
+def _checked_foot(problem: ValidatedProblem, cand: Candidate) -> Foot:
+    """`cand`'s integer foot l/|l|^2, once a restriction along it is checked
+    to exist: a nonzero foot, orthogonal to the constraints, rank left >= 1."""
     foot = integer_point(cand.perp_point)
     if not any(foot[0]):
         raise InputError("cannot restrict along the zero vector")
@@ -36,35 +35,48 @@ def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
     if problem.effective_rank < 1:
         raise InvariantError(f"cannot restrict a problem of effective rank "
                              f"{problem.effective_rank} along {cand.l}")
+    return foot
+
+
+def restrict(problem: ValidatedProblem, cand: Candidate,
+             foot: Optional[Foot] = None) -> ValidatedProblem:
+    """Restriction of the given problem along its candidate `cand`, whose
+    checked integer foot is `foot` if the caller holds it; `cand.l` joins
+    the constraints.  The Weyl group is the one the surviving roots generate."""
+    foot = _checked_foot(problem, cand) if foot is None else foot
     return ValidatedProblem(problem.space, problem.lattice.restrict(foot, cand.levels),
                             problem.constraints + (cand.l,))
 
 
+def may_have_children(lattice: IntegerLattice, levels: Levels, foot: Foot) -> bool:
+    """Whether the restriction along a candidate of `lattice` with these
+    levels and integer foot may have equality candidates, decided before it
+    is built.  Its roots R' are `levels.roots_zero` and its weights the
+    members minus the foot: a member at the foot is the zero weight, and
+    two members that sum to twice the foot are a pair {w, -w}.
+
+    It has none when the floor m = max(1, m_0 + sum over pairs {w, -w} of
+    min(m_w, m_-w)), m_0 the zero weight's multiplicity, exceeds |R'|/2:
+    against every direction l', the zero weight and one weight of each pair
+    are at or below 0, and some weight is below 1 (the origin, the parent's
+    foot, is in the weights' hull), so m is below level 1; at most |R'|/2
+    roots are negative (R' = -R'), and an equality needs at least m.
+    """
+    if not levels.roots_zero:
+        return False
+    (point, den), scale = foot, lattice.weight_den
+    moved = {tuple([den * x - scale * y for x, y in zip(lattice.weights[i], point)]):
+             lattice.mults[i] for i in levels.on}
+    # twice the floor: the sum meets each pair twice and the zero weight once
+    twice = moved.get((0,) * len(point), 0) + sum(
+        min(m, moved.get(tuple([-x for x in w]), 0)) for w, m in moved.items())
+    return twice <= len(levels.roots_zero)
+
+
 def equality_set(sub: ValidatedProblem) -> tuple[Candidate, ...]:
     """Candidates of `sub` whose counting bound is an equality, one per
-    Weyl orbit; the enumeration tests no others.
-
-    A restriction whose floor on the multiplicity below level 1 exceeds
-    |R'|/2 has none, so it is not enumerated.  The floor is
-    max(1, m_0 + sum over pairs {w, -w} of min(m_w, m_-w)), m_0 the zero
-    weight's multiplicity, and holds for every direction l':
-    - the zero weight, and one weight of each pair, has <l', .> <= 0 < 1;
-    - the origin lies in the convex hull of the weights (the projected foot
-      of the parent candidate), so some weight is always below level 1;
-    - the roots are closed under negation, so at most |R'|/2 are negative;
-    - an equality needs as many negative roots as multiplicity below.
-    Without roots the floor 1 exceeds 0 before any count, so a rootless
-    restriction returns before the floor is counted.
-    """
-    lattice = sub.lattice
-    if sub.constraints and not lattice.roots:
-        return ()
-    mult = dict(zip(lattice.weights, lattice.mults))
-    # twice the floor: the sum meets each pair twice and the zero weight once
-    twice = mult.get((0,) * len(lattice.gram), 0) + sum(
-        min(m, mult.get(tuple(-x for x in w), 0)) for w, m in mult.items())
-    empty = sub.constraints and twice > len(lattice.roots)
-    return () if empty else enumerate_candidates(sub, equality=True)
+    Weyl orbit; the enumeration tests no others."""
+    return enumerate_candidates(sub, equality=True)
 
 
 @dataclass(frozen=True)
@@ -80,8 +92,11 @@ class SignedTree:
 
 def build_tree(problem: ValidatedProblem, cand: Candidate) -> SignedTree:
     """The signed tree of a candidate of `problem`."""
-    sub = restrict(problem, cand)
-    children = tuple(build_tree(sub, c) for c in equality_set(sub))
+    foot = _checked_foot(problem, cand)
+    children: tuple[SignedTree, ...] = ()
+    if may_have_children(problem.lattice, cand.levels, foot):
+        sub = restrict(problem, cand, foot)
+        children = tuple(build_tree(sub, c) for c in equality_set(sub))
     plus_children = sum(1 for child in children if child.plus)
     if plus_children > 1:
         raise InvariantError(f"node {cand.l} has {plus_children} plus children; "

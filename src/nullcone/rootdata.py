@@ -349,8 +349,10 @@ class IntegerLattice:
     def hull_contains(self, point: IntVec, den: int, members: Sequence[int]) -> bool:
         """Whether point / den lies in the convex hull of the weights `members`.
 
-        `ratgeom.in_convex_hull`, fraction-free.  A phase-1 simplex with
-        Bland's rule decides whether some y >= 0 has
+        The members' centroid, each member once, is inside: a point with
+        sum_j weights[j] den = |members| weight_den point needs no LP.  Any
+        other is `ratgeom.in_convex_hull`, fraction-free.  A phase-1 simplex
+        with Bland's rule decides whether some y >= 0 has
         sum_j y_j weights[j] = weight_den point and sum_j y_j = den.  The
         tableau is kept as integers over the common denominator d, the
         previous pivot: a pivot p in row r sends each entry a of another row
@@ -365,6 +367,8 @@ class IntegerLattice:
         n = len(members)
         cols = [self.weights[j] for j in members]
         target = [a * self.weight_den for a in point]
+        if cols and all(sum(col) * den == n * b for col, b in zip(zip(*cols), target)):
+            return True
         tab = [[w[i] for w in cols] + [b] for i, b in enumerate(target)]
         tab.append([1] * n + [den])
         tab = [row if row[-1] >= 0 else [-a for a in row] for row in tab]

@@ -131,8 +131,8 @@ def test_bench_tracer_installs_and_comes_off(monkeypatch):
 # the tracer's tree counters on one qubits4 `stratify`
 TRACED_QUBITS4 = {
     "engine.tree.nodes": 38,
-    "engine.restrict.calls": 38,
-    "engine.equality_set.calls": 38,
+    "engine.restrict.calls": 14,
+    "engine.equality_set.calls": 14,
     "engine.equality_set.enumerations": 14,
     "candidates.enumerate.calls": 15,
     "candidates.kept": 34,

@@ -295,26 +295,29 @@ def test_root_level_work_counts(monkeypatch, source, counts):
 
 
 @pytest.mark.parametrize("source, counts", [
-    ("qubits3.json", (11, 0, 11, 9, 0, 0, 21)),
-    ("qubits4.json", (38, 0, 38, 82, 0, 0, 186)),
-    ("sl3-forms:6", (33, 0, 33, 0, 0, 0, 3)),
-    ("adjoint:d4", (61, 0, 73, 124, 0, 0, 367)),
+    ("qubits3.json", (11, 11, 0, 11, 9, 0, 0, 6, 21)),
+    ("qubits4.json", (38, 28, 0, 38, 82, 0, 0, 14, 186)),
+    ("sl3-forms:6", (33, 11, 0, 33, 0, 0, 0, 2, 3)),
+    ("adjoint:d4", (61, 42, 0, 73, 124, 0, 0, 43, 367)),
 ])
 def test_tree_level_work_counts(monkeypatch, source, counts):
-    """One `stratify`'s (hull LPs, Weyl orbits, full level passes, level
-    passes stopped early, lattices built by `integer_lattice`,
-    `GramSpace.inner` calls outside `check_foot`, `subset_feet` nodes at
-    tree nodes).
+    """One `stratify`'s (hull tests, hull tests whose foot is the members'
+    centroid, Weyl orbits, full level passes, level passes stopped early,
+    lattices built by `integer_lattice`, `GramSpace.inner` calls outside
+    `check_foot`, restrictions built, `subset_feet` nodes at tree nodes).
     The hull LP runs only on feet in the anti-dominant chamber, at the root
     and at every tree node, so dedup needs no orbit: these stay far below
     the (40, 11), (360, 38) and (176, 33) of grouping each node's equality
     candidates into orbits.  A restriction reuses its candidate's levels and
     integer foot, so the next three stay below the (31, 6, 14),
     (190, 18, 42) and (75, 6, 34) of restricting along l in Fractions and
-    clearing the denominators again.  `equality_set` enumerates no node
-    whose floor on the multiplicity below level 1 rules an equality out: the
-    level passes and the tree-level nodes stay below the (152, 422) and
-    (42, 23) of enumerating every rooted node on qubits4 and sl3-forms:6.
+    clearing the denominators again.  The centroid settles a hull test
+    without the simplex, so only the rest run it (0, 10, 22 and 19).
+    `build_tree` builds no restriction whose floor on the multiplicity below
+    level 1 rules an equality out, so of the (11, 38, 33, 61) tree nodes only
+    the restrictions counted here are built and enumerated: the level passes
+    and the tree-level nodes stay below the (152, 422) and (42, 23) of
+    enumerating every rooted node on qubits4 and sl3-forms:6.
     At a tree node the level pass of a foot stops at the first weight that
     takes the multiplicity below level 1 past the count of negative roots,
     so only a foot that can be an equality gets a full pass: the full and
@@ -324,7 +327,8 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
     restrict to the same lattice, and each of them is enumerated afresh."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    calls = dict.fromkeys(["hull", "orbit", "full", "stopped", "lattice", "inner", "nodes"], 0)
+    calls = dict.fromkeys(["hull", "centroid", "orbit", "full", "stopped", "lattice", "inner",
+                           "restrict", "nodes"], 0)
     checking = []
     subset_feet = IntegerLattice.subset_feet
 
@@ -338,6 +342,16 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
             calls[key] += not checking
             return fn(*args)
         return wrapper
+
+    hull = IntegerLattice.hull_contains
+
+    def hull_tests(lattice, point, den, members):
+        # the members' centroid in Fractions, each member once
+        centroid = [Q(sum(col), lattice.weight_den * len(members))
+                    for col in zip(*(lattice.weights[j] for j in members))]
+        calls["hull"] += 1
+        calls["centroid"] += centroid == [Q(a, den) for a in point]
+        return hull(lattice, point, den, members)
 
     level_pass = IntegerLattice.levels
 
@@ -356,8 +370,9 @@ def test_tree_level_work_counts(monkeypatch, source, counts):
         finally:
             checking.pop()
 
-    monkeypatch.setattr(IntegerLattice, "hull_contains",
-                        counted("hull", IntegerLattice.hull_contains))
+    monkeypatch.setattr(IntegerLattice, "hull_contains", hull_tests)
+    monkeypatch.setattr(IntegerLattice, "restrict",
+                        counted("restrict", IntegerLattice.restrict))
     monkeypatch.setattr(rootdata, "orbit_closure",
                         counted("orbit", rootdata.orbit_closure))
     monkeypatch.setattr(IntegerLattice, "levels", passes)

@@ -139,6 +139,22 @@ class TestRestrict:
         with pytest.raises(InvariantError, match="effective rank 0"):
             restrict(sub, _candidate(problem, ["1/3", "1/3"]))
 
+    def test_childless_nodes_keep_the_checks(self):
+        # a node the floor proves childless builds no restriction, but
+        # `build_tree` still makes every check of `restrict` there
+        torus = validate(parse_catalog_spec("torus:1,0|0,1|1,1"))
+        leaf = _candidate(torus, ["1/2", "1/2"])
+        assert not engine.may_have_children(torus.lattice, leaf.levels,
+                                            integer_point(leaf.perp_point))
+        zero = parse_vector([0, 0])
+        with pytest.raises(InputError, match="zero vector"):
+            build_tree(torus, Candidate(zero, zero, _levels(torus, zero)))
+        c, d = parse_vector([1, 0]), parse_vector([1, -1])
+        with pytest.raises(InvariantError, match="not orthogonal"):
+            build_tree(dataclasses.replace(torus, constraints=(c,)), leaf)
+        with pytest.raises(InvariantError, match="effective rank 0"):
+            build_tree(dataclasses.replace(torus, constraints=(d, d)), leaf)
+
     def test_invariants_hold_under_optimize(self):
         # `python -O` strips asserts; the restriction and tree checks must
         # survive it.  Listing each equality candidate twice gives a node two
@@ -188,19 +204,23 @@ class TestEqualitySet:
         assert [c.l for c in equality_set(sub)] == [parse_vector([-1, 1])]
 
     def test_rootless_restriction_not_enumerated(self, monkeypatch):
-        sub = _sub("torus:1,0|0,1|1,1", ["1/2", "1/2"])
-        assert sub.roots == ()
+        # `build_tree` decides a rootless node from the parent's data: it
+        # builds no restriction and enumerates nothing
+        problem = validate(parse_catalog_spec("torus:1,0|0,1|1,1"))
+        cand = _candidate(problem, ["1/2", "1/2"])
+        assert restrict(problem, cand).roots == ()
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("a rootless restriction was enumerated")
+            raise AssertionError("a rootless restriction was built or enumerated")
 
-        monkeypatch.setattr(engine, "enumerate_candidates", unreachable)
-        assert equality_set(sub) == ()
+        for name in ("restrict", "equality_set", "enumerate_candidates"):
+            monkeypatch.setattr(engine, name, unreachable)
+        assert build_tree(problem, cand) == SignedTree(cand.l, (), True)
 
 
 def _floor(sub):
-    """The floor of `equality_set` on the multiplicity below level 1, on the
-    Fraction weights: the zero weight and one weight of each pair {w, -w}
+    """The floor on the multiplicity below level 1, on the Fraction weights
+    of a restriction: the zero weight and one weight of each pair {w, -w}
     lie below level 1 against every direction, and at least one weight does."""
     mults = dict(sub.weights)
     zero = (Q(0),) * sub.rank
@@ -208,37 +228,43 @@ def _floor(sub):
     return max(1, mults.get(zero, 0) + pairs)
 
 
-def _enumerates(sub):
-    """Whether `equality_set` enumerates `sub`."""
+def _builds(problem, cand):
+    """Whether `build_tree(problem, cand)` builds the restriction along
+    `cand` and enumerates its equality set; the recursion is cut there."""
     calls = []
-    enumerate_all = engine.enumerate_candidates
+    restricting, enumerating = engine.restrict, engine.equality_set
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_all(*args, **kwargs)
+    def built(*args):
+        calls.append("restrict")
+        return restricting(*args)
 
-    engine.enumerate_candidates = counted
+    def childless(sub):
+        calls.append("equality_set")
+        return ()
+
+    engine.restrict, engine.equality_set = built, childless
     try:
-        equality_set(sub)
+        build_tree(problem, cand)
     finally:
-        engine.enumerate_candidates = enumerate_all
+        engine.restrict, engine.equality_set = restricting, enumerating
+    assert calls in ([], ["restrict", "equality_set"])
     return bool(calls)
 
 
 def _floor_nodes(problem):
     """Each tree node below `problem` with its children and whether its
-    floor exceeds |R'|/2, once `equality_set` is checked to be the equality
-    enumeration, to enumerate exactly where the floor does not exceed |R'|/2,
-    and the unpruned enumeration to be empty where it does."""
+    floor exceeds |R'|/2, once `build_tree` is checked to build the node's
+    restriction exactly where the floor does not exceed |R'|/2, and the
+    unpruned equality enumeration to be empty where it does.  The floor is
+    counted on a restriction built here, not on the parent's data."""
     todo = [(problem, enumerate_candidates(problem))]
     while todo:
         node, cands = todo.pop()
         for cand in cands:
             sub = restrict(node, cand)
-            children = enumerate_candidates(sub, equality=True)
-            assert equality_set(sub) == children
+            children = equality_set(sub)
             floor = 2 * _floor(sub) > len(sub.roots)
-            assert _enumerates(sub) != floor
+            assert _builds(node, cand) != floor
             if floor:
                 assert enumerate_candidates(sub, dedup=False, equality=True) == ()
             yield sub, children, floor

@@ -140,8 +140,24 @@ def test_hull_matches_in_convex_hull(data, draw):
     n = len(points)
     members = sorted(draw.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     member_points = [points[i] for i in members]
-    kind = draw.draw(st.sampled_from(["foot", "convex", "free"]))
-    if kind == "foot":
+    kinds = ["foot", "convex", "free", "centroid", "moved", "scaled", "weighted"]
+    kind = draw.draw(st.sampled_from(kinds))
+    centroid = tuple(sum(v[i] for v in member_points) / len(members) for i in range(space.rank))
+    if kind == "centroid":
+        # inside with no LP, each member counted once whatever its multiplicity
+        p = centroid
+    elif kind == "moved":
+        # off the centroid in one coordinate: the LP decides
+        i = draw.draw(st.integers(0, space.rank - 1))
+        p = centroid[:i] + (centroid[i] + Q(1, 11),) + centroid[i + 1:]
+    elif kind == "scaled":
+        # what a centroid test that lost the weights' denominator accepts
+        p = vscale(Q(lattice.weight_den), centroid)
+    elif kind == "weighted":
+        # what a centroid test that summed by multiplicity accepts
+        p = tuple(sum(weights[j][1] * points[j][i] for j in members) / len(members)
+                  for i in range(space.rank))
+    elif kind == "foot":
         # the foot of some weights: inside, on the boundary or outside
         p = perp(space, [points[i] for i in draw.draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=4))])
