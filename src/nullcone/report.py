@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
 from typing import Any
 
-from .engine import NullconeSummary, SignedTree, StratumReport
-from .ratgeom import InputError, Vec, parse_vector, vector_to_json
+from .engine import CandidateDecision, NullconeSummary, SignedTree, StratumReport
+from .ratgeom import InputError, Q, Vec, parse_vector, vector_to_json
 
 # ---------------------------------------------------------------------------
-# the JSON layout, written once
+# the JSON layout
 #
-# A record is a tuple of fields (key, get, kind).  `get` reads the field from
-# the object the engine made.  `kind` is a record, a one-element list [kind]
-# for a list of that kind, or a check: a function of the value and where it
-# sits that returns the value's JSON form or raises InputError.  `_write` and
-# `_parse` walk the same tables, so the two cannot drift apart.
+# A record is a tuple of fields (key, kind).  `kind` is a record, a
+# one-element list [kind] for a list of that kind, or a check: a function of
+# the value and where it sits that returns the value's JSON form or raises
+# InputError.  The tables are the schema `_parse` reads; `to_json_text` writes
+# each record directly, in the same key order, and takes exactly what the
+# checks take.  The golden tests parse every pinned report back through them.
 
 
 def _vector(value: Any, where: str) -> list:
@@ -60,47 +60,27 @@ def _index(value: Any, where: str) -> int:
 
 
 _TREES: list = []  # a tree node's children are tree nodes
-_TREE = (
-    ("l", attrgetter("l"), _vector),
-    ("sign", attrgetter("sign"), _sign),
-    ("children", attrgetter("children"), _TREES),
-)
+_TREE = (("l", _vector), ("sign", _sign), ("children", _TREES))
 _TREES.append(_TREE)
 
-_CANDIDATE = (
-    ("l", attrgetter("candidate.l"), _vector),
-    ("M", attrgetter("candidate.levels.on"), [_index]),
-    ("stratifying", attrgetter("stratifying"), _bool),
-    ("tree", attrgetter("tree"), _TREE),
-)
+_CANDIDATE = (("l", _vector), ("M", [_index]), ("stratifying", _bool), ("tree", _TREE))
 
-_GENERIC_REP_TERM = (
-    ("weight_index", itemgetter(0), _index),
-    ("symbol", itemgetter(1), _str),
-)
+_GENERIC_REP_TERM = (("weight_index", _index), ("symbol", _str))
 
 _STRATUM = (
-    ("l", attrgetter("l"), _vector),
-    ("dim", attrgetter("dim"), _int),
-    ("open_in_V", attrgetter("open_in_V"), _bool),
-    ("support_V_l", attrgetter("support_v_l"), [_index]),
-    ("support_V_l_plus", attrgetter("support_v_l_plus"), [_index]),
-    ("levi_roots", attrgetter("levi_root_indices"), [_index]),
-    ("parabolic_roots", attrgetter("parabolic_root_indices"), [_index]),
-    ("generic_rep", attrgetter("generic_rep"), [_GENERIC_REP_TERM]),
+    ("l", _vector),
+    ("dim", _int),
+    ("open_in_V", _bool),
+    ("support_V_l", [_index]),
+    ("support_V_l_plus", [_index]),
+    ("levi_roots", [_index]),
+    ("parabolic_roots", [_index]),
+    ("generic_rep", [_GENERIC_REP_TERM]),
 )
 
-_NULLCONE = (
-    ("dim", attrgetter("dim_nullcone"), _int),
-    ("equals_V", attrgetter("equals_V"), _bool),
-    ("max_components", attrgetter("max_component_indices"), [_index]),
-)
+_NULLCONE = (("dim", _int), ("equals_V", _bool), ("max_components", [_index]))
 
-_SUMMARY = (
-    ("candidates", attrgetter("decisions"), [_CANDIDATE]),
-    ("strata", attrgetter("strata"), [_STRATUM]),
-    ("nullcone", lambda summary: summary, _NULLCONE),
-)
+_SUMMARY = (("candidates", [_CANDIDATE]), ("strata", [_STRATUM]), ("nullcone", _NULLCONE))
 
 
 def _parse(kind: Any, value: Any, where: str) -> Any:
@@ -111,47 +91,96 @@ def _parse(kind: Any, value: Any, where: str) -> Any:
     if isinstance(kind, tuple):
         if not isinstance(value, dict):
             raise InputError(f"{where} must be an object")
-        for key, _, _ in kind:
+        for key, _ in kind:
             if key not in value:
                 raise InputError(f"{where} missing key {key!r}")
-        return {key: _parse(sub, value[key], f"{where}.{key}") for key, _, sub in kind}
+        return {key: _parse(sub, value[key], f"{where}.{key}") for key, sub in kind}
     return kind(value, where)
 
 
-def _leaf(form: Any, pad: str) -> str:
-    """`json.dumps(form, indent=2)` of a check's form, at indent `pad`."""
-    if type(form) is str:
-        return encode_basestring_ascii(form)
-    if type(form) is not list:
-        return "true" if form is True else "false" if form is False else str(form)
-    inner = pad + "  "
-    return (f"[\n{inner}" + f",\n{inner}".join([_leaf(x, inner) for x in form])
-            + f"\n{pad}]") if form else "[]"
+def _json_list(items: list[str], pad: str) -> str:
+    """A list at indent `pad` as `json.dumps(..., indent=2)` writes it."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-def _write(kind: Any, value: Any, pad: str, out: list[str]) -> list[str]:
-    """Append `json.dumps(..., indent=2)` of `value` laid out by `kind` to
-    `out`, and return `out`."""
+def _json_vector(v: Any, pad: str) -> str:
+    """A vector as `_vector` forms it.  A tuple or list of ints and
+    Fractions, which is what the engine makes, is written directly; any
+    other value goes whole through `_vector`, which forms it or raises."""
+    if type(v) in (tuple, list):
+        for x in v:
+            if type(x) is not Q and type(x) is not int:
+                break
+        else:
+            return _json_list([str(x.numerator) if x.denominator == 1
+                               else f'"{x.numerator}/{x.denominator}"' for x in v], pad)
+    return _json_list([json.dumps(form) for form in _vector(v, "")], pad)
+
+
+def _json_indices(values: Any, pad: str) -> str:
+    for i in values:
+        if type(i) is not int or i < 0:
+            _index(i, "")  # raises
+    return _json_list([*map(str, values)], pad)
+
+
+def _json_bool(value: Any) -> str:
+    return "true" if _bool(value, "") else "false"
+
+
+def _json_tree(node: SignedTree, pad: str) -> str:
     inner = pad + "  "
-    if callable(kind):
-        out.append(_leaf(kind(value, ""), pad))
-    elif isinstance(kind, tuple):
-        for i, (key, get, sub) in enumerate(kind):
-            out.append(f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: ")
-            _write(sub, get(value), inner, out)
-        out.append(f"\n{pad}}}")
-    elif callable(kind[0]):
-        out.append(_leaf([kind[0](item, "") for item in value], pad))
-    else:
-        for i, item in enumerate(value):
-            out.append(f"{',' if i else '['}\n{inner}")
-            _write(kind[0], item, inner, out)
-        out.append(f"\n{pad}]" if value else "[]")
-    return out
+    return (f'{{\n{inner}"l": {_json_vector(node.l, inner)},\n'
+            f'{inner}"sign": {encode_basestring_ascii(_sign(node.sign, ""))},\n'
+            f'{inner}"children": '
+            f'{_json_list([_json_tree(child, inner + "  ") for child in node.children], inner)}'
+            f'\n{pad}}}')
+
+
+def _json_candidate(decision: CandidateDecision) -> str:
+    cand = decision.candidate
+    return ('{\n'
+            f'      "l": {_json_vector(cand.l, "      ")},\n'
+            f'      "M": {_json_indices(cand.levels.on, "      ")},\n'
+            f'      "stratifying": {_json_bool(decision.stratifying)},\n'
+            f'      "tree": {_json_tree(decision.tree, "      ")}\n'
+            '    }')
+
+
+def _json_term(term: tuple[int, str]) -> str:
+    return ('{\n'
+            f'          "weight_index": {_index(term[0], "")},\n'
+            f'          "symbol": {encode_basestring_ascii(_str(term[1], ""))}\n'
+            '        }')
+
+
+def _json_stratum(s: StratumReport) -> str:
+    return ('{\n'
+            f'      "l": {_json_vector(s.l, "      ")},\n'
+            f'      "dim": {_int(s.dim, "")},\n'
+            f'      "open_in_V": {_json_bool(s.open_in_V)},\n'
+            f'      "support_V_l": {_json_indices(s.support_v_l, "      ")},\n'
+            f'      "support_V_l_plus": {_json_indices(s.support_v_l_plus, "      ")},\n'
+            f'      "levi_roots": {_json_indices(s.levi_root_indices, "      ")},\n'
+            f'      "parabolic_roots": {_json_indices(s.parabolic_root_indices, "      ")},\n'
+            f'      "generic_rep": {_json_list([*map(_json_term, s.generic_rep)], "      ")}\n'
+            '    }')
 
 
 def to_json_text(summary: NullconeSummary) -> str:
-    return "".join(_write(_SUMMARY, summary, "", [])) + "\n"
+    """The bytes `json.dumps(..., indent=2)` gives for the layout, plus a
+    newline, written one record at a time with each value checked."""
+    return ('{\n'
+            f'  "candidates": {_json_list([*map(_json_candidate, summary.decisions)], "  ")},\n'
+            f'  "strata": {_json_list([*map(_json_stratum, summary.strata)], "  ")},\n'
+            '  "nullcone": {\n'
+            f'    "dim": {_int(summary.dim_nullcone, "")},\n'
+            f'    "equals_V": {_json_bool(summary.equals_V)},\n'
+            f'    "max_components": {_json_indices(summary.max_component_indices, "    ")}\n'
+            '  }\n'
+            '}\n')
 
 
 def from_json_dict(obj: Any) -> dict[str, Any]:

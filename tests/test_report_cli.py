@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,14 +47,36 @@ class TestJsonReport:
             assert json.dumps(from_json_text(text), indent=2) + "\n" == text
 
     def test_writer_checks_each_leaf(self):
+        """The writer formats ints and Fractions itself; any other leaf goes
+        through its check, which raises or gives the bytes the engine's
+        values give."""
         summary = _summary("gl2-ex3:2,1")
         first = summary.strata[0]
-        for stratum, message in ((dataclasses.replace(first, dim=True), "an integer"),
-                                 (dataclasses.replace(first, support_v_l=(-1,)), "an index"),
-                                 (dataclasses.replace(first, l="12"), "not a vector")):
-            bad = dataclasses.replace(summary, strata=(stratum, *summary.strata[1:]))
+        assert first.l == (0, Fraction(1, 2))
+
+        def with_first(**fields):
+            return dataclasses.replace(
+                summary, strata=(dataclasses.replace(first, **fields), *summary.strata[1:]))
+
+        decision = summary.decisions[0]
+        tree = dataclasses.replace(decision.tree, plus="yes")
+        bad_tree = dataclasses.replace(
+            summary, decisions=(dataclasses.replace(decision, tree=tree), *summary.decisions[1:]))
+        for bad, message in ((with_first(dim=True), "must be an integer"),
+                             (with_first(support_v_l=(-1,)), "must be an index"),
+                             (with_first(support_v_l=(True,)), "must be an integer"),
+                             (with_first(l="12"), "not a vector"),
+                             (with_first(l=(True, Fraction(1, 2))), "not a rational: True"),
+                             (with_first(l=(0, 0.5)), "floats are not accepted"),
+                             (with_first(generic_rep=((0, 3),)), "must be a string"),
+                             (dataclasses.replace(summary, dim_nullcone=True),
+                              "must be an integer"),
+                             (bad_tree, "must be a boolean")):
             with pytest.raises(InputError, match=message):
                 to_json_text(bad)
+        text = to_json_text(summary)
+        for l in (("0", "1/2"), (0, Fraction(1, 2)), [Fraction(0), Fraction(1, 2)]):
+            assert to_json_text(with_first(l=l)) == text
 
     def test_deterministic(self):
         one = to_json_text(_summary("adjoint:b2"))
