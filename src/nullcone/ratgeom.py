@@ -304,33 +304,32 @@ def perp(space: GramSpace, points: Sequence[Vec]) -> Vec:
 # ---------------------------------------------------------------------------
 # convex hull membership by exact phase-1 simplex
 
-def _phase1_feasible(rows: list[list[Q]]) -> bool:
-    """Feasibility of {x >= 0 : A x = b} with Bland's rule, each row [A_i, b_i].
+def phase1_feasible(rows: Sequence[Sequence[int]]) -> bool:
+    """Feasibility of {x >= 0 : A x = b}, each integer row [A_i, b_i], by a
+    phase-1 simplex with Bland's rule.
 
-    Each row is cleared of its denominators and signed so that b_i >= 0; an
-    artificial column per row starts the basis.  The tableau stays integer
-    over the common denominator d, the previous pivot: pivot p sends each
-    entry a outside the pivot row to (p a - f b) // d, f being a's row entry
-    in the pivot column and b the pivot row's entry in a's column.  Every
-    entry is a minor of the starting tableau, so the division is exact
-    (Bareiss 1968), and d > 0, so entries carry the signs of the true ones.
-    Ratios compare by cross-multiplication.
+    Each row is signed so that b_i >= 0 and given an artificial variable;
+    the artificials start as the basis, and phase 1 minimizes their sum.
+    The tableau stays integer over the common denominator d, the previous
+    pivot: pivot p sends each entry a outside the pivot row to
+    (p a - f b) // d, f being a's row entry in the pivot column and b the
+    pivot row's entry in a's column.  Every entry is a minor of the starting
+    tableau, so the division is exact (Bareiss 1968), and d > 0, so entries
+    carry the signs of the true ones.  Ratios compare by cross-multiplication.
+    The artificial columns are left out: an artificial that leaves the basis
+    never re-enters, and the optimum is 0 exactly when the system is feasible.
     """
-    m, n = len(rows), len(rows[0]) - 1
-    tab: list[list[int]] = []
-    for i, row in enumerate(rows):
-        nums = integer_point(row)[0]
-        nums = nums if nums[-1] >= 0 else [-x for x in nums]
-        tab.append([*nums[:n], *(int(i == k) for k in range(m)), nums[-1]])
-    basis = list(range(n, n + m))
-    # bottom row: reduced costs for minimizing the artificial sum, then -objective
+    n = len(rows[0]) - 1
+    tab = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
+    # basic variables: the artificials n.. at first, by row
+    basis = list(range(n, n + len(tab)))
+    # reduced costs of the artificial sum, and its negated value last
     z = [-sum(col) for col in zip(*tab)]
-    z[n:n + m] = [0] * m
     d = 1
     while True:
-        enter = next((j for j in range(n + m) if z[j] < 0), None)
+        enter = next((j for j in range(n) if z[j] < 0), None)
         if enter is None:
-            return z[-1] == 0
+            return not z[-1]
         leave = None
         for i, row in enumerate(tab):
             a = row[enter]
@@ -365,4 +364,4 @@ def in_convex_hull(space: GramSpace, p: Vec, points: Sequence[Vec]) -> bool:
         space.check_dim(q)
     rows = [[q[i] for q in points] + [p[i]] for i in range(space.rank)]
     rows.append([Q(1)] * (len(points) + 1))
-    return _phase1_feasible(rows)
+    return phase1_feasible([integer_point(row)[0] for row in rows])

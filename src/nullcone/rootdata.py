@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .ratgeom import (
     GramSpace,
     InputError,
-    InvariantError,
     Q,
     ResourceError,
     Vec,
@@ -29,6 +28,7 @@ from .ratgeom import (
     parse_int,
     parse_rational,
     parse_vector,
+    phase1_feasible,
     vector_text,
     vector_to_json,
     vscale,
@@ -351,59 +351,17 @@ class IntegerLattice:
 
         The members' centroid, each member once, is inside: a point with
         sum_j weights[j] den = |members| weight_den point needs no LP.  Any
-        other is `ratgeom.in_convex_hull`, fraction-free.  A phase-1 simplex
-        with Bland's rule decides whether some y >= 0 has
-        sum_j y_j weights[j] = weight_den point and sum_j y_j = den.  The
-        tableau is kept as integers over the common denominator d, the
-        previous pivot: a pivot p in row r sends each entry a of another row
-        to (p a - f b) // d, where f is that row's entry in the pivot column
-        and b the pivot row's entry in a's column.  Every entry is a minor
-        of the starting tableau, so the division is exact (Bareiss 1968),
-        and d > 0, so entries carry the signs of the true ones.  Ratios are
-        compared by cross-multiplication.  The artificial columns are left
-        out: an artificial that leaves the basis never re-enters, and the
-        optimum is still 0 exactly when the system is feasible.
+        other is `ratgeom.phase1_feasible` on whether some y >= 0 has
+        sum_j y_j weights[j] = weight_den point and sum_j y_j = den.
         """
         n = len(members)
         cols = [self.weights[j] for j in members]
         target = [a * self.weight_den for a in point]
         if cols and all(sum(col) * den == n * b for col, b in zip(zip(*cols), target)):
             return True
-        tab = [[w[i] for w in cols] + [b] for i, b in enumerate(target)]
-        tab.append([1] * n + [den])
-        tab = [row if row[-1] >= 0 else [-a for a in row] for row in tab]
-        # basic variables: the artificials n.. at first, by row
-        basis = list(range(n, n + len(tab)))
-        # reduced costs of the artificial sum, and its negated value last
-        z = [-sum(col) for col in zip(*tab)]
-        d = 1
-        while True:
-            enter = next((j for j in range(n) if z[j] < 0), None)
-            if enter is None:
-                return not z[-1]
-            leave = None
-            for i, row in enumerate(tab):
-                a = row[enter]
-                if a > 0:
-                    if leave is None:
-                        leave = i
-                        continue
-                    best = tab[leave]
-                    diff = row[-1] * best[enter] - best[-1] * a
-                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                        leave = i
-            if leave is None:
-                raise InvariantError("phase-1 simplex: unbounded objective")
-            pivot_row = tab[leave]
-            p = pivot_row[enter]
-            for i, row in enumerate(tab):
-                if i != leave:
-                    f = row[enter]
-                    tab[i] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
-            f = z[enter]
-            z = [(p * a - f * b) // d for a, b in zip(z, pivot_row)]
-            d = p
-            basis[leave] = enter
+        rows = [[w[i] for w in cols] + [b] for i, b in enumerate(target)]
+        rows.append([1] * n + [den])
+        return phase1_feasible(rows)
 
 
 def integer_lattice(space: GramSpace, roots: Sequence[Vec],

@@ -8,7 +8,9 @@ every flat a brute-force rank test finds on Fractions, each with
 with `dedup` its prune must keep every nonzero chamber foot, and
 `IntegerLattice.in_positive_cone`, the test it prunes by, must agree with
 coefficients on the simple roots solved in Fractions.
-`IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`.
+`IntegerLattice.hull_contains` must agree with `ratgeom.in_convex_hull`: both
+run `ratgeom.phase1_feasible`, so this checks the kernel's rows and its
+centroid shortcut, and `tests/test_ratgeom.py` checks the LP itself.
 The integer `orbit_closure` must equal a Fraction BFS under `reflect`.
 Testing each distinct foot once in `enumerate_candidates` must run the hull
 LP at most once per distinct l without changing the candidates, and the

@@ -13,6 +13,7 @@ from nullcone.ratgeom import (
     parse_rational,
     parse_vector,
     perp,
+    phase1_feasible,
     rational_to_json,
     vector_to_json,
     vscale,
@@ -378,6 +379,36 @@ def test_perp_of_a_spanning_set_is_the_origin_unsolved(data):
         foot = perp(space, points)
     assert foot == zero_vec(space.rank) and all(type(x) is Q for x in foot)
     assert calls == []
+
+
+class TestPhase1Feasible:
+    """The simplex on integer rows [A_i | b_i], deciding some x >= 0 with
+    A x = b."""
+
+    def test_negative_right_hand_side(self):
+        # -x0 - 2 x1 = -2 holds at x = (2, 0) once the row is signed
+        assert phase1_feasible([[-1, -2, -2]])
+        assert phase1_feasible([[1, 1, 3], [-1, 0, -1]])
+        assert not phase1_feasible([[1, 1, 3], [-1, 0, -4]])
+
+    def test_repeated_row(self):
+        # the second row's artificial stays basic at 0 after the first pivot
+        assert phase1_feasible([[1, 1, 2], [1, 1, 2]])
+        assert phase1_feasible([(2, 3, 1, 5), (2, 3, 1, 5), (0, 1, 1, 1)])
+        assert not phase1_feasible([[1, 1, 2], [1, 1, 3]])
+
+    def test_infeasible(self):
+        # x0 + x1 = 1, x0 - x1 = 3 needs x1 = -1
+        assert not phase1_feasible([[1, 1, 1], [1, -1, 3]])
+        assert not phase1_feasible([[1, 1, -1]])
+        assert phase1_feasible([[1, 1, 3], [1, -1, 1]])
+
+    def test_no_columns(self):
+        # what `IntegerLattice.hull_contains` builds for no members
+        assert phase1_feasible([[0]])
+        assert phase1_feasible([[0], [0], [0]])
+        assert not phase1_feasible([[0], [2]])
+        assert not phase1_feasible([[-1]])
 
 
 class TestConvexHull:
