@@ -16,7 +16,7 @@ by descending height and cuts the subtrees of feet in the positive cone,
 the chamber's polar.  `candidate_from_subset` tests each distinct foot once,
 in integers; at a tree node its level pass stops at the first weight that
 rules an equality out, and a foot at its members' centroid is in their hull
-with no LP.  Only a kept candidate gets its Fractions.
+with no LP.  A kept candidate keeps its integer foot and gets a Fraction l.
 
 A subset's foot f is also the foot of the saturated set M of l = f/|f|^2.
 The subset lies on the hyperplane H = {inner(l, .) = 1} and in M, so
@@ -38,6 +38,7 @@ from .ratgeom import (
     Q,
     Vec,
     in_convex_hull,
+    integer_point,
     is_zero_vec,
     perp,
     vscale,
@@ -47,11 +48,12 @@ from .rootdata import Foot, Levels, ValidatedProblem
 
 @dataclass(frozen=True)
 class Candidate:
-    """A direction l, its foot, and the levels it was accepted with; the
-    saturated weight set M is `levels.on`."""
+    """A direction l, its foot l/|l|^2 as (point, den) in lowest terms with
+    den > 0, and the levels it was accepted with; the saturated weight set M
+    is `levels.on`."""
 
     l: Vec
-    perp_point: Vec
+    foot: Foot
     levels: Levels
 
 
@@ -59,7 +61,8 @@ def candidate_from_subset(problem: ValidatedProblem, foot: Foot,
                           equality: bool = False) -> Optional[Candidate]:
     """Build the candidate generated by a weight subset from its foot, or None.
 
-    `foot` is the subset's foot as `IntegerLattice.subset_feet` yields it.
+    `foot` is the subset's foot as `IntegerLattice.subset_feet` yields it,
+    in lowest terms with den > 0; the candidate keeps it.
     Rejections: the affine hull passes through the origin; the counting
     bound fails (with `equality`, is not an equality: the level pass stops
     once it cannot be); the foot leaves the convex hull of the saturated
@@ -75,7 +78,7 @@ def candidate_from_subset(problem: ValidatedProblem, foot: Foot,
     if levels is None or not (levels.is_equality if equality else levels.holds):
         return None
     if lattice.hull_contains(point, den, levels.on):
-        return Candidate(tuple(Q(a, d) for a in nums), tuple(Q(a, den) for a in point), levels)
+        return Candidate(tuple(Q(a, d) for a in nums), foot, levels)
     return None
 
 
@@ -105,11 +108,12 @@ def enumerate_candidates(problem: ValidatedProblem, dedup: bool = True,
 
 def check_foot(problem: ValidatedProblem, cand: Candidate) -> None:
     """Raise InvariantError unless the stored integer-kernel foot equals the
-    Fraction `perp` of the members, as the module docstring shows it must."""
+    Fraction `perp` of the members, as the module docstring shows it must.
+    Both sides are in lowest terms with den > 0, so they compare as integers."""
     member_points = [problem.weights[i][0] for i in cand.levels.on]
-    if perp(problem.space, member_points) != cand.perp_point:
+    if integer_point(perp(problem.space, member_points)) != cand.foot:
         raise InvariantError(
-            f"candidate {cand.l}: foot {cand.perp_point} is not perp of the members")
+            f"candidate {cand.l}: foot {cand.foot} is not perp of the members")
 
 
 def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:
@@ -120,10 +124,12 @@ def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:
     """
     space = problem.space
     out: list[str] = []
-    if is_zero_vec(cand.perp_point):
+    point, den = cand.foot
+    foot = tuple(Q(a, den) for a in point)
+    if is_zero_vec(foot):
         out.append(f"candidate {cand.l}: perpendicular foot is zero")
         return out
-    expected_l = vscale(1 / space.norm_sq(cand.perp_point), cand.perp_point)
+    expected_l = vscale(1 / space.norm_sq(foot), foot)
     if cand.l != expected_l:
         out.append(f"candidate {cand.l}: l is not foot/|foot|^2 = {expected_l}")
     heights = [space.inner(cand.l, v) for v, _ in problem.weights]
@@ -133,9 +139,9 @@ def verify_candidate(problem: ValidatedProblem, cand: Candidate) -> list[str]:
             out.append(f"candidate {cand.l}: member weight {i} is off the hyperplane")
     if tuple(i for i, h in enumerate(heights) if h == 1) != cand.levels.on:
         out.append(f"candidate {cand.l}: member set is not saturated")
-    if member_points and perp(space, member_points) != cand.perp_point:
+    if member_points and perp(space, member_points) != foot:
         out.append(f"candidate {cand.l}: stored foot is not perp of the members")
-    if member_points and not in_convex_hull(space, cand.perp_point, member_points):
+    if member_points and not in_convex_hull(space, foot, member_points):
         out.append(f"candidate {cand.l}: foot lies outside the member hull")
     negative = sum(1 for alpha in problem.roots if space.inner(cand.l, alpha) < 0)
     below = sum(m for (_, m), h in zip(problem.weights, heights) if h < 1)

@@ -9,42 +9,41 @@ no child is plus, and l is stratifying exactly when its root is plus.
 
 Everything stays in ambient coordinates; a restriction just remembers the
 chain of constraint vectors it is orthogonal to.  It is built in integers
-from the candidate's levels and foot, and only where a floor allows children.
+from the candidate's levels and integer foot, and only where a floor allows
+children; every tree node checks that the restriction exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .candidates import Candidate, check_foot, enumerate_candidates
-from .ratgeom import InputError, InvariantError, Vec, integer_point
+from .ratgeom import InputError, InvariantError, Vec
 from .rootdata import Foot, IntegerLattice, Levels, Problem, ValidatedProblem, validate
 from .rootdata import orbit_closure  # noqa: F401 (bench/tracer.py wraps it under this name)
 
 
-def _checked_foot(problem: ValidatedProblem, cand: Candidate) -> Foot:
-    """`cand`'s integer foot l/|l|^2, once a restriction along it is checked
-    to exist: a nonzero foot, orthogonal to the constraints, rank left >= 1."""
-    foot = integer_point(cand.perp_point)
-    if not any(foot[0]):
+def _check_restrictable(problem: ValidatedProblem, cand: Candidate) -> None:
+    """Raise unless a restriction along `cand` exists: a nonzero foot,
+    orthogonal to the constraints, rank left >= 1."""
+    point = cand.foot[0]
+    if not any(point):
         raise InputError("cannot restrict along the zero vector")
-    if not all(problem.lattice.orthogonal(foot[0], c) for c in problem.constraints):
+    if not all(problem.lattice.orthogonal(point, c) for c in problem.constraints):
         raise InvariantError(
             f"restriction vector {cand.l} is not orthogonal to the existing constraints")
     if problem.effective_rank < 1:
         raise InvariantError(f"cannot restrict a problem of effective rank "
                              f"{problem.effective_rank} along {cand.l}")
-    return foot
 
 
-def restrict(problem: ValidatedProblem, cand: Candidate,
-             foot: Optional[Foot] = None) -> ValidatedProblem:
-    """Restriction of the given problem along its candidate `cand`, whose
-    checked integer foot is `foot` if the caller holds it; `cand.l` joins
-    the constraints.  The Weyl group is the one the surviving roots generate."""
-    foot = _checked_foot(problem, cand) if foot is None else foot
-    return ValidatedProblem(problem.space, problem.lattice.restrict(foot, cand.levels),
+def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
+    """Restriction of the given problem along its candidate `cand`, built
+    from its integer foot; `cand.l` joins the constraints.  The Weyl group
+    is the one the surviving roots generate."""
+    _check_restrictable(problem, cand)
+    return ValidatedProblem(problem.space, problem.lattice.restrict(cand.foot, cand.levels),
                             problem.constraints + (cand.l,))
 
 
@@ -91,12 +90,14 @@ class SignedTree:
 
 
 def build_tree(problem: ValidatedProblem, cand: Candidate) -> SignedTree:
-    """The signed tree of a candidate of `problem`."""
-    foot = _checked_foot(problem, cand)
+    """The signed tree of a candidate of `problem`; a childless node makes
+    the checks of `restrict` without building the restriction."""
     children: tuple[SignedTree, ...] = ()
-    if may_have_children(problem.lattice, cand.levels, foot):
-        sub = restrict(problem, cand, foot)
+    if may_have_children(problem.lattice, cand.levels, cand.foot):
+        sub = restrict(problem, cand)
         children = tuple(build_tree(sub, c) for c in equality_set(sub))
+    else:
+        _check_restrictable(problem, cand)
     plus_children = sum(1 for child in children if child.plus)
     if plus_children > 1:
         raise InvariantError(f"node {cand.l} has {plus_children} plus children; "

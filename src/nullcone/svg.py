@@ -75,68 +75,55 @@ _WEIGHT = 'fill="#222222"'
 _ROOT = 'fill="none" stroke="#888888" stroke-width="1.5"'
 
 
-def _render_rank2(summary: NullconeSummary) -> list[str]:
+def _render(summary: NullconeSummary) -> list[str]:
+    """The picture's elements; only the projection `draw` and the segment
+    `hyperplane` drawn for a candidate depend on the rank."""
     problem = summary.problem
-    a, b, c = _cholesky2(problem.space.gram)
+    if problem.rank == 1:
+        g = float(problem.space.gram[0][0])
+        scale = math.sqrt(g)
 
-    def draw(v: Vec) -> tuple[float, float]:
-        x0, x1 = float(v[0]), float(v[1])
-        return (a * x0 + b * x1, c * x1)
+        def draw(v: Vec) -> tuple[float, float]:
+            return (scale * float(v[0]), 0.0)
+
+        def hyperplane(l: Vec, canvas: _Canvas):
+            # on the line the hyperplane is the single point x = 1 / (g * l)
+            x = scale / (g * float(l[0]))
+            return (x, -0.3), (x, 0.3)
+    else:
+        a, b, c = _cholesky2(problem.space.gram)
+
+        def draw(v: Vec) -> tuple[float, float]:
+            x0, x1 = float(v[0]), float(v[1])
+            return (a * x0 + b * x1, c * x1)
+
+        def hyperplane(l: Vec, canvas: _Canvas):
+            # the hyperplane {<l, x> = 1} maps to {n . u = 1} with n = L^T l
+            n = draw(l)
+            nn = n[0] * n[0] + n[1] * n[1]
+            base = (n[0] / nn, n[1] / nn)
+            direction = (-n[1], n[0])
+            norm = math.sqrt(nn)
+            t = canvas.radius + math.hypot(base[0] - canvas.cx, base[1] - canvas.cy)
+            return ((base[0] - t * direction[0] / norm, base[1] - t * direction[1] / norm),
+                    (base[0] + t * direction[0] / norm, base[1] + t * direction[1] / norm))
 
     weight_pts = [draw(v) for v, _ in problem.weights]
     root_pts = [draw(alpha) for alpha in problem.roots]
     everything = weight_pts + root_pts + [(0.0, 0.0)]
     canvas = _Canvas([p[0] for p in everything], [p[1] for p in everything])
 
-    body = [
-        _line(canvas, (-canvas.radius + canvas.cx, canvas.cy),
-              (canvas.radius + canvas.cx, canvas.cy), _AXIS),
-        _line(canvas, (canvas.cx, -canvas.radius + canvas.cy),
-              (canvas.cx, canvas.radius + canvas.cy), _AXIS),
-    ]
+    body = [_line(canvas, (-canvas.radius + canvas.cx, canvas.cy),
+                  (canvas.radius + canvas.cx, canvas.cy), _AXIS)]
+    if problem.rank == 2:
+        body.append(_line(canvas, (canvas.cx, -canvas.radius + canvas.cy),
+                          (canvas.cx, canvas.radius + canvas.cy), _AXIS))
     for decision in summary.decisions:
-        # the hyperplane {<l, x> = 1} maps to {n . u = 1} with n = L^T l
-        l0, l1 = float(decision.candidate.l[0]), float(decision.candidate.l[1])
-        n = (a * l0 + b * l1, c * l1)
-        nn = n[0] * n[0] + n[1] * n[1]
-        base = (n[0] / nn, n[1] / nn)
-        direction = (-n[1], n[0])
-        norm = math.sqrt(nn)
-        t = canvas.radius + math.hypot(base[0] - canvas.cx, base[1] - canvas.cy)
-        p = (base[0] - t * direction[0] / norm, base[1] - t * direction[1] / norm)
-        q = (base[0] + t * direction[0] / norm, base[1] + t * direction[1] / norm)
         style = _SOLID if decision.stratifying else _DASHED
-        body.append(_line(canvas, p, q, style))
-    for alpha, point in zip(problem.roots, root_pts):
+        body.append(_line(canvas, *hyperplane(decision.candidate.l, canvas), style))
+    for point in root_pts:
         body.append(_dot(canvas, point, _ROOT))
-    for (v, mult), point in zip(problem.weights, weight_pts):
-        body.append(_dot(canvas, point, _WEIGHT))
-        if mult != 1:
-            body.append(_label(canvas, point, f"x{mult}"))
-    return body
-
-
-def _render_rank1(summary: NullconeSummary) -> list[str]:
-    problem = summary.problem
-    g = float(problem.space.gram[0][0])
-    scale = math.sqrt(g)
-
-    xs = [scale * float(v[0]) for v, _ in problem.weights]
-    xs += [scale * float(alpha[0]) for alpha in problem.roots]
-    xs.append(0.0)
-    canvas = _Canvas(xs, [0.0])
-
-    body = [_line(canvas, (-canvas.radius + canvas.cx, 0.0),
-                  (canvas.radius + canvas.cx, 0.0), _AXIS)]
-    for decision in summary.decisions:
-        # on the line the hyperplane is the single point x = 1 / (g * l)
-        x = scale / (g * float(decision.candidate.l[0]))
-        style = _SOLID if decision.stratifying else _DASHED
-        body.append(_line(canvas, (x, -0.3), (x, 0.3), style))
-    for alpha in problem.roots:
-        body.append(_dot(canvas, (scale * float(alpha[0]), 0.0), _ROOT))
-    for v, mult in problem.weights:
-        point = (scale * float(v[0]), 0.0)
+    for (_, mult), point in zip(problem.weights, weight_pts):
         body.append(_dot(canvas, point, _WEIGHT))
         if mult != 1:
             body.append(_label(canvas, point, f"x{mult}"))
@@ -148,12 +135,11 @@ def render_svg(summary: NullconeSummary) -> str:
     if rank > 2:
         raise InputError(f"SVG output is only available for rank <= 2 problems, "
                          f"got rank {rank}")
-    body = _render_rank1(summary) if rank == 1 else _render_rank2(summary)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
         f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
-    lines.extend(body)
+    lines.extend(_render(summary))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import pytest
 from fractions import Fraction as Q
@@ -92,7 +93,7 @@ class TestCandidateFromSubset:
         assert cand is not None
         assert cand.l == parse_vector(["1/2"])
         assert cand.levels.on == (2,)
-        assert cand.perp_point == parse_vector([1])
+        assert cand.foot == ((1,), 1)
         assert cand.levels.mult_at_least == 1
 
     def test_zero_perp_rejected(self):
@@ -179,17 +180,30 @@ class TestVerifyCandidate:
 
 class TestCheckFoot:
     def test_enumerated_feet_pass(self):
+        # every candidate, and every equality candidate of each tree node,
+        # carries its foot in lowest terms with den > 0: `check_foot`
+        # compares it with `perp` as integers
+        def check(problem, found):
+            for cand in found:
+                point, den = cand.foot
+                assert den > 0 and math.gcd(den, *point) == 1
+                check_foot(problem, cand)
+                depths.append(len(problem.constraints))
+                sub = engine.restrict(problem, cand)
+                check(sub, engine.equality_set(sub))
+
+        depths = []
         for spec in ("adjoint:a2", "gl2-ex3:2,-1", "sl2-forms:2,3",
                      "torus:1,0|0,1|1,1"):
             problem = validate(parse_catalog_spec(spec))
-            for cand in enumerate_candidates(problem, dedup=False):
-                check_foot(problem, cand)
+            check(problem, enumerate_candidates(problem, dedup=False))
+        assert any(depths)  # some tree node has equality candidates
 
     def test_moved_foot_raises(self):
         problem = validate(catalog("adjoint", ["a2"]))
         cand = enumerate_candidates(problem)[0]
         wrong = dataclasses.replace(
-            cand, perp_point=tuple(2 * x for x in cand.perp_point))
+            cand, foot=(tuple(2 * x for x in cand.foot[0]), cand.foot[1]))
         with pytest.raises(InvariantError, match="not perp of the members"):
             check_foot(problem, wrong)
 

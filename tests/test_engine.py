@@ -122,7 +122,7 @@ class TestRestrict:
         problem = validate(catalog("adjoint", ["a1"]))
         zero = parse_vector([0])
         with pytest.raises(InputError):
-            restrict(problem, Candidate(zero, zero, _levels(problem, zero)))
+            restrict(problem, Candidate(zero, ((0,), 1), _levels(problem, zero)))
 
     def test_non_orthogonal_vector_raises(self):
         problem = validate(parse_catalog_spec("gl2-ex3:2,1"))
@@ -144,11 +144,10 @@ class TestRestrict:
         # `build_tree` still makes every check of `restrict` there
         torus = validate(parse_catalog_spec("torus:1,0|0,1|1,1"))
         leaf = _candidate(torus, ["1/2", "1/2"])
-        assert not engine.may_have_children(torus.lattice, leaf.levels,
-                                            integer_point(leaf.perp_point))
+        assert not engine.may_have_children(torus.lattice, leaf.levels, leaf.foot)
         zero = parse_vector([0, 0])
         with pytest.raises(InputError, match="zero vector"):
-            build_tree(torus, Candidate(zero, zero, _levels(torus, zero)))
+            build_tree(torus, Candidate(zero, ((0, 0), 1), _levels(torus, zero)))
         c, d = parse_vector([1, 0]), parse_vector([1, -1])
         with pytest.raises(InvariantError, match="not orthogonal"):
             build_tree(dataclasses.replace(torus, constraints=(c,)), leaf)
@@ -488,7 +487,7 @@ class TestStratify:
 
     def test_decided_feet_checked_against_perp(self, monkeypatch):
         def moved_feet(problem, dedup=True):
-            return tuple(dataclasses.replace(c, perp_point=tuple(2 * x for x in c.perp_point))
+            return tuple(dataclasses.replace(c, foot=(tuple(2 * x for x in c.foot[0]), c.foot[1]))
                          for c in enumerate_candidates(problem, dedup))
 
         monkeypatch.setattr(engine, "enumerate_candidates", moved_feet)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -25,6 +26,8 @@ from nullcone.report import (
 )
 from nullcone.rootdata import catalog, parse_catalog_spec, problem_to_json
 from nullcone.svg import render_svg
+
+from conftest import CATALOG_SPECS
 
 QUBITS3 = Path(__file__).resolve().parents[1] / "bench" / "problems" / "qubits3.json"
 
@@ -208,6 +211,36 @@ class TestSvg:
 
     def test_deterministic(self):
         assert render_svg(_summary("adjoint:b2")) == render_svg(_summary("adjoint:b2"))
+
+    def test_catalog_bytes_pinned(self):
+        # sha256 of the SVG of every catalog spec, ranks 1 and 2 alike
+        pinned = {
+            "torus:1,0|0,1|1,1":
+                "b8ac48693ceeefdca5fd988813b8cd5f8bf93d2302aff55c2216ea3be5bb45aa",
+            "sl2-forms:2,3,3,4,5":
+                "7d354661e752076209a79fe8ead430742c0b0852c1b9f29eed9550e011053afa",
+            "sl3-forms:4":
+                "74e2f429a348fa9b3b3c0f22168bf809e65f15eac2ca3d2c7b53457c6e75fc3e",
+            "adjoint:a1":
+                "42b76233191f069409801329761e5878dca01804e82cf0f9cce8cfcd20e9d9fa",
+            "adjoint:a2":
+                "6054df87e85aaf270a93ac03c29c3ec3f5d3b2ccebf9ca8e66c2d5e24aa8dc76",
+            "adjoint:b2":
+                "adc84931a7055e03dd579f61e255f61a9e706b3df169fccb1ce78dbd84db5dc9",
+            "g2-adjoint":
+                "6395b2180a064e657ddcd659a5b246f9431a2ccb807f916e995c0d31ab920ef5",
+            "gl2-ex3:2,1":
+                "e54db23ccce79a00f2a00ce9fa7cc1c0fd3ac4329934b2c24af1bdaed57165d9",
+            "gl2-ex3:2,-1":
+                "a0c01ea5c40a9cc94ce695c9e2b3f13959b6c2206a0e85cd33ed48805b0bc820",
+            "gl2-ex3:2,0":
+                "07950e6cea24a116281232aed906dbd5100b4e3005a1c44f01c4d201a85896bc",
+            "direct-sum:sl2-forms:2+sl2-forms:3":
+                "59d088cf5cc1df74a1dc800354a7b434339ff17bdd37c3414527a9d4998daaaf",
+        }
+        assert set(pinned) == set(CATALOG_SPECS)
+        assert {spec: hashlib.sha256(render_svg(_summary(spec)).encode("utf-8")).hexdigest()
+                for spec in CATALOG_SPECS} == pinned
 
 
 class TestCli:
