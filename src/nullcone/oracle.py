@@ -4,6 +4,8 @@ The naive enumeration here deliberately ignores the subset strategy of
 `candidates`: it walks every nonempty subset of the distinct weights and
 applies the defining conditions literally, with its own counting code.
 Agreement between the two is the main correctness check of the package.
+One level pass per subset serves both its saturation test and its count
+of the weights below the hyperplane.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ class OracleReport:
 
 
 def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec, ...]:
-    """Candidate vectors from an exhaustive scan of all weight subsets."""
+    """Candidate vectors from an exhaustive scan of all weight subsets.
+
+    Bit i of `mask` is weight i; the weights are distinct, so a subset is
+    saturated exactly when the bits of the weights at height 1 are `mask`."""
     entries = problem.weights
     n = len(entries)
     if n > MAX_WEIGHTS:
@@ -64,14 +69,14 @@ def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec
         if is_zero_vec(foot):
             continue
         l = vscale(1 / space.norm_sq(foot), foot)
-        on_hyperplane = {v for v in points if space.inner(l, v) == 1}
-        if on_hyperplane != set(subset):
+        heights = [space.inner(l, v) for v in points]
+        if sum(1 << i for i, h in enumerate(heights) if h == 1) != mask:
             continue
         if not in_convex_hull(space, foot, subset):
             continue
         negative_roots = sum(1 for alpha in problem.roots
                              if space.inner(l, alpha) < 0)
-        below = sum(m for v, m in entries if space.inner(l, v) < 1)
+        below = sum(m for (_, m), h in zip(entries, heights) if h < 1)
         if negative_roots > below:
             continue
         found.add(l)

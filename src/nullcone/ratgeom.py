@@ -112,9 +112,11 @@ def zero_vec(rank: int) -> Vec:
 def integer_point(v: Sequence[Q]) -> tuple[tuple[int, ...], int]:
     """v as (point, den) in lowest terms, den > 0: den is the least common
     denominator of v's entries."""
-    dens = [q.denominator for q in v]
-    den = math.lcm(*dens)
-    return tuple([q.numerator * (den // d) for q, d in zip(v, dens)]), den
+    pairs = [q.as_integer_ratio() for q in v]
+    den = math.lcm(*[d for _, d in pairs])
+    if den == 1:
+        return tuple([a for a, _ in pairs]), 1
+    return tuple([a * (den // d) for a, d in pairs]), den
 
 
 def integer_rows(rows: Sequence[Sequence[Q]],

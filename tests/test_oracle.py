@@ -1,9 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 from fractions import Fraction as Q
 
+from nullcone import oracle
 from nullcone.candidates import enumerate_candidates
+from nullcone.cli import load_problem
 from nullcone.oracle import (
     apply_transform,
     check_rank2_law,
@@ -16,8 +19,16 @@ from nullcone.oracle import (
     rank2_non_stratifying,
     standard_transforms,
 )
-from nullcone.ratgeom import InputError, ResourceError, gram_violations, parse_vector
+from nullcone.ratgeom import (
+    GramSpace,
+    InputError,
+    ResourceError,
+    gram_violations,
+    parse_vector,
+)
 from nullcone.rootdata import parse_catalog_spec, validate
+
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
 
 class TestNaive:
@@ -46,6 +57,34 @@ class TestNaive:
         engine = tuple(sorted(c.l for c in enumerate_candidates(problem)))
         assert naive == engine
         assert len(naive) == 6  # orbits of 1/k for k = 2, 4, ..., 12
+
+
+@pytest.mark.parametrize("source, inner_calls, perp_calls", [
+    ("qubits3.json", 1230, 255),
+    ("g2-adjoint", 2160, 8191),
+    ("sl3-forms:4", 3522, 32767),
+])
+def test_naive_work_counts(monkeypatch, source, inner_calls, perp_calls):
+    """The oracle's `GramSpace.inner` and `perp` calls, exact: one `perp` per
+    nonempty subset, and one level pass over the weights per nonzero foot
+    (the calls inside `perp` and for the roots count too)."""
+    path = BENCH_PROBLEMS / source
+    problem = validate(load_problem(str(path) if path.exists() else source))
+    calls = {"inner": 0, "perp": 0}
+    inner, perp = GramSpace.inner, oracle.perp
+
+    def counting_inner(space, u, v):
+        calls["inner"] += 1
+        return inner(space, u, v)
+
+    def counting_perp(space, points):
+        calls["perp"] += 1
+        return perp(space, points)
+
+    monkeypatch.setattr(GramSpace, "inner", counting_inner)
+    monkeypatch.setattr(oracle, "perp", counting_perp)
+    oracle.naive_candidates(problem)
+    assert (calls["inner"], calls["perp"]) == (inner_calls, perp_calls)
 
 
 class TestRank2Law:

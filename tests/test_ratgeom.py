@@ -1,5 +1,11 @@
-import pytest
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nullcone.ratgeom import (
@@ -8,6 +14,7 @@ from nullcone.ratgeom import (
     echelon_extend,
     gram_violations,
     in_convex_hull,
+    integer_point,
     make_space,
     parse_int,
     parse_rational,
@@ -381,6 +388,28 @@ def test_perp_of_a_spanning_set_is_the_origin_unsolved(data):
     assert calls == []
 
 
+class TestIntegerPoint:
+    @given(st.one_of(
+        st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+        st.lists(st.builds(Q, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
+                 max_size=6),
+        st.lists(entries(50), max_size=6)))
+    def test_lowest_terms_over_the_least_common_denominator(self, v):
+        point, den = integer_point(v)
+        assert type(point) is tuple and len(point) == len(v)
+        assert all(type(a) is int for a in point) and type(den) is int
+        assert all(Q(a, den) == q for a, q in zip(point, v))
+        assert den == math.lcm(*(Q(q).denominator for q in v))
+        assert math.gcd(den, *point) == 1
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6))
+    def test_integers_are_returned_as_they_are(self, v):
+        assert integer_point(v) == (tuple(v), 1)
+
+    def test_empty(self):
+        assert integer_point(()) == ((), 1)
+
+
 class TestPhase1Feasible:
     """The simplex on integer rows [A_i | b_i], deciding some x >= 0 with
     A x = b."""
@@ -409,6 +438,26 @@ class TestPhase1Feasible:
         assert phase1_feasible([[0], [0], [0]])
         assert not phase1_feasible([[0], [2]])
         assert not phase1_feasible([[-1]])
+
+    def test_bland_leaving_row_tie_break(self):
+        # Feasible in 4 pivots.  Without the tie-break on the leaving row
+        # (lowest basic index among equal ratios) the simplex cycles, so it
+        # runs in a child process with a timeout instead of hanging the suite.
+        rows = [[-3, -3, -1, -2, 1, 0, -1, 1],
+                [3, 3, 0, -3, -2, 2, 1, 0],
+                [-2, -3, 1, 1, 1, -3, 3, 0]]
+        script = ("from nullcone.ratgeom import phase1_feasible\n"
+                  f"print(phase1_feasible({rows!r}))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("phase1_feasible did not finish in 30 s: the simplex cycles")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "True\n"
 
 
 class TestConvexHull:
