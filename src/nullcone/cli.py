@@ -38,7 +38,7 @@ from .rootdata import (
     problem_from_json,
     validate,
 )
-from .svg import render_svg
+from .svg import check_drawable, render_svg
 
 COMMANDS = ("stratify", "candidates", "tree", "verify", "catalog-list")
 
@@ -123,6 +123,8 @@ def _run(args: argparse.Namespace) -> int:
             raise InputError("--verify is only valid with the stratify command")
 
     problem = validate(load_problem(args.input))
+    if args.svg_path:
+        check_drawable(problem.rank)
     dedup = not args.no_dedup
 
     if args.command == "verify":

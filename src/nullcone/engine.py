@@ -8,8 +8,8 @@ signed tree decides whether l labels a stratum: a node is plus exactly when
 no child is plus, and l is stratifying exactly when its root is plus.
 
 Everything stays in ambient coordinates; a restriction just remembers the
-chain of constraint vectors it is orthogonal to.  It is built in integers
-from the candidate's levels and integer foot, and only where a floor allows
+integer foot points it is orthogonal to.  `IntegerLattice` builds it from
+the candidate's levels and integer foot, only where its floor allows
 children; every tree node checks that the restriction exists.
 """
 
@@ -20,7 +20,7 @@ from typing import Union
 
 from .candidates import Candidate, check_foot, enumerate_candidates
 from .ratgeom import InputError, InvariantError, Vec
-from .rootdata import Foot, IntegerLattice, Levels, Problem, ValidatedProblem, validate
+from .rootdata import Problem, ValidatedProblem, validate
 from .rootdata import orbit_closure  # noqa: F401 (bench/tracer.py wraps it under this name)
 
 
@@ -39,37 +39,13 @@ def _check_restrictable(problem: ValidatedProblem, cand: Candidate) -> None:
 
 
 def restrict(problem: ValidatedProblem, cand: Candidate) -> ValidatedProblem:
-    """Restriction of the given problem along its candidate `cand`, built
-    from its integer foot; `cand.l` joins the constraints.  The Weyl group
-    is the one the surviving roots generate."""
+    """Restriction of the given problem along its candidate `cand`, built by
+    `IntegerLattice.restrict` from its integer foot; the foot's point, a
+    positive multiple of `cand.l`, joins the constraints.  The Weyl group is
+    the one the surviving roots generate."""
     _check_restrictable(problem, cand)
     return ValidatedProblem(problem.space, problem.lattice.restrict(cand.foot, cand.levels),
-                            problem.constraints + (cand.l,))
-
-
-def may_have_children(lattice: IntegerLattice, levels: Levels, foot: Foot) -> bool:
-    """Whether the restriction along a candidate of `lattice` with these
-    levels and integer foot may have equality candidates, decided before it
-    is built.  Its roots R' are `levels.roots_zero` and its weights the
-    members minus the foot: a member at the foot is the zero weight, and
-    two members that sum to twice the foot are a pair {w, -w}.
-
-    It has none when the floor m = max(1, m_0 + sum over pairs {w, -w} of
-    min(m_w, m_-w)), m_0 the zero weight's multiplicity, exceeds |R'|/2:
-    against every direction l', the zero weight and one weight of each pair
-    are at or below 0, and some weight is below 1 (the origin, the parent's
-    foot, is in the weights' hull), so m is below level 1; at most |R'|/2
-    roots are negative (R' = -R'), and an equality needs at least m.
-    """
-    if not levels.roots_zero:
-        return False
-    (point, den), scale = foot, lattice.weight_den
-    moved = {tuple([den * x - scale * y for x, y in zip(lattice.weights[i], point)]):
-             lattice.mults[i] for i in levels.on}
-    # twice the floor: the sum meets each pair twice and the zero weight once
-    twice = moved.get((0,) * len(point), 0) + sum(
-        min(m, moved.get(tuple([-x for x in w]), 0)) for w, m in moved.items())
-    return twice <= len(levels.roots_zero)
+                            problem.constraints + (cand.foot[0],))
 
 
 def equality_set(sub: ValidatedProblem) -> tuple[Candidate, ...]:
@@ -93,7 +69,7 @@ def build_tree(problem: ValidatedProblem, cand: Candidate) -> SignedTree:
     """The signed tree of a candidate of `problem`; a childless node makes
     the checks of `restrict` without building the restriction."""
     children: tuple[SignedTree, ...] = ()
-    if may_have_children(problem.lattice, cand.levels, cand.foot):
+    if problem.lattice.may_have_children(cand.foot, cand.levels):
         sub = restrict(problem, cand)
         children = tuple(build_tree(sub, c) for c in equality_set(sub))
     else:

@@ -325,24 +325,45 @@ class IntegerLattice:
         scale = self.gram_den * den
         return tuple(a * scale for a in point), norm
 
-    def orthogonal(self, point: IntVec, v: Vec) -> bool:
-        """Whether <point, v> = 0, in integers."""
-        nums, _ = integer_point(v)
-        return not sum(a * sum(map(mul, row, nums)) for a, row in zip(point, self.gram))
+    def orthogonal(self, point: IntVec, normal: IntVec) -> bool:
+        """Whether <point, normal> = 0, in integers."""
+        return not sum(a * sum(map(mul, row, normal)) for a, row in zip(point, self.gram))
+
+    def may_have_children(self, foot: Foot, levels: Levels) -> bool:
+        """Whether the restriction along a candidate with this integer foot and
+        these levels may have equality candidates, decided before it is built.
+        Its roots R' are `levels.roots_zero` and its weights the members minus
+        the foot: a member at the foot is the zero weight, and two members
+        that sum to twice the foot are a pair {w, -w}.
+
+        It has none when the floor m = max(1, m_0 + sum over pairs {w, -w} of
+        min(m_w, m_-w)), m_0 the zero weight's multiplicity, exceeds |R'|/2:
+        against every direction l', the zero weight and one weight of each pair
+        are at or below 0, and some weight is below 1 (the origin, the parent's
+        foot, is in the weights' hull), so m is below level 1; at most |R'|/2
+        roots are negative (R' = -R'), and an equality needs at least m.
+        """
+        if not levels.roots_zero:
+            return False
+        (point, den), scale = foot, self.weight_den
+        moved = {tuple([den * x - scale * y for x, y in zip(self.weights[i], point)]):
+                 self.mults[i] for i in levels.on}
+        # twice the floor: the sum meets each pair twice and the zero weight once
+        twice = moved.get((0,) * len(point), 0) + sum(
+            min(m, moved.get(tuple([-x for x in w]), 0)) for w, m in moved.items())
+        return twice <= len(levels.roots_zero)
 
     def restrict(self, foot: Foot, levels: Levels) -> "IntegerLattice":
         """The restriction along l from its foot l/|l|^2 = point / den and its
         levels: the roots on {l = 0}, and the level-1 weights minus the foot
         (there the projection onto {l = 0}; it keeps them distinct, sorted)."""
-        point, den = foot
-        scale = math.lcm(self.weight_den, den)
-        a, b = scale // self.weight_den, scale // den
-        moved = [[a * x - b * y for x, y in zip(self.weights[i], point)] for i in levels.on]
-        g = math.gcd(scale, *(x for w in moved for x in w))
+        (point, den), scale = foot, self.weight_den
+        moved = [[den * x - scale * y for x, y in zip(self.weights[i], point)] for i in levels.on]
+        g = math.gcd(den * scale, *(x for w in moved for x in w))
         roots = [self.roots[j] for j in levels.roots_zero]
         h = math.gcd(self.root_den, *(x for alpha in roots for x in alpha))
         return replace(self, weights=tuple(tuple(x // g for x in w) for w in moved),
-                       weight_den=scale // g, mults=tuple(self.mults[i] for i in levels.on),
+                       weight_den=den * scale // g, mults=tuple(self.mults[i] for i in levels.on),
                        roots=tuple(tuple(x // h for x in alpha) for alpha in roots),
                        root_den=self.root_den // h)
 
@@ -405,15 +426,16 @@ class ValidatedProblem:
     """A checked instance: a form, and sorted roots and weights as a lattice.
 
     A restriction (`engine.restrict`) is one too, in ambient coordinates: its
-    roots and weights are orthogonal (under the form) to every vector in
-    `constraints`.  A root problem is the restriction with no constraints.
+    roots and weights are orthogonal (under the form) to every integer vector
+    in `constraints`, the foot point of each l restricted along, a positive
+    multiple of l.  A root problem is the restriction with no constraints.
     `validate` sets the Fraction `roots` and `weights` to its input, and a
     restriction reads them from its lattice on first use.
     """
 
     space: GramSpace
     lattice: IntegerLattice
-    constraints: tuple[Vec, ...] = ()
+    constraints: tuple[IntVec, ...] = ()
 
     @cached_property
     def roots(self) -> tuple[Vec, ...]:

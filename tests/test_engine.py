@@ -69,7 +69,7 @@ class TestRestrict:
             (parse_vector(["-1/2", "1/2"]), 1),
             (parse_vector(["1/2", "-1/2"]), 1),
         )
-        assert sub.constraints == (parse_vector(["1/3", "1/3"]),)
+        assert sub.constraints == ((1, 1),)
         assert sub.effective_rank == 1
 
     def test_g2_fourth_line(self):
@@ -114,7 +114,8 @@ class TestRestrict:
                             if space.inner(l, v) == 1)
             assert sub.lattice == integer_lattice(space, roots, weights)
             assert (sub.roots, sub.weights) == (roots, weights)
-            assert sub.constraints == problem.constraints + (l,)
+            assert tuple(Q(a, cand.foot[1]) for a in cand.foot[0]) == foot
+            assert sub.constraints == problem.constraints + (cand.foot[0],)
             nodes += 1
         assert nodes > len(CATALOG_SPECS) + 20 and dropped
 
@@ -144,7 +145,7 @@ class TestRestrict:
         # `build_tree` still makes every check of `restrict` there
         torus = validate(parse_catalog_spec("torus:1,0|0,1|1,1"))
         leaf = _candidate(torus, ["1/2", "1/2"])
-        assert not engine.may_have_children(torus.lattice, leaf.levels, leaf.foot)
+        assert not torus.lattice.may_have_children(leaf.foot, leaf.levels)
         zero = parse_vector([0, 0])
         with pytest.raises(InputError, match="zero vector"):
             build_tree(torus, Candidate(zero, ((0, 0), 1), _levels(torus, zero)))

@@ -241,6 +241,16 @@ class TestSvg:
         assert set(pinned) == set(CATALOG_SPECS)
         assert {spec: hashlib.sha256(render_svg(_summary(spec)).encode("utf-8")).hexdigest()
                 for spec in CATALOG_SPECS} == pinned
+        # one sha256 over the SVGs of the rank <= 2 random problems, in order
+        combined, drawn = hashlib.sha256(), 0
+        for seed in range(300):
+            summary = stratify(random_problem(random.Random(seed)))
+            if summary.problem.rank <= 2:
+                combined.update(render_svg(summary).encode("utf-8"))
+                drawn += 1
+        assert drawn == 200
+        assert combined.hexdigest() == (
+            "a9dde881d983970ab482fe52fbe192e36615c25d512ea71b5cd900d4a86cff8e")
 
 
 class TestCli:
@@ -258,6 +268,20 @@ class TestCli:
         data = json.loads(json_path.read_text())
         assert data["nullcone"]["dim"] == 3
         assert svg_path.read_text().startswith("<svg")
+
+    def test_svg_of_rank3_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the rank check runs before `stratify`: no report, no file written
+        def unreachable(*args, **kwargs):
+            raise AssertionError("stratify ran")
+
+        monkeypatch.setattr(cli, "stratify", unreachable)
+        json_path, svg_path = tmp_path / "o.json", tmp_path / "o.svg"
+        code = main(["stratify", "adjoint:a3", "--json", str(json_path), "--svg", str(svg_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: SVG output is only available for rank <= 2 "
+                                  "problems, got rank 3\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_deterministic_across_runs(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
