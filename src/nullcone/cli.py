@@ -40,31 +40,40 @@ from .rootdata import (
 )
 from .svg import check_drawable, render_svg
 
-COMMANDS = ("stratify", "candidates", "tree", "verify", "catalog-list")
+_EXIT_CODES = {InputError: 1, ResourceError: 2, InvariantError: 4}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    # argparse wants to sys.exit(2) on bad usage; route it through the
-    # normal input-error path instead so the exit code stays 1
+    # argparse wants to sys.exit(2) on bad usage; route it through the normal
+    # input-error path so the exit code stays 1 (subparsers share this class)
     def error(self, message: str):
         raise InputError(message)
+
+
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="nullcone",
         description="Stratify the null cone of a rational representation.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("input", nargs="?",
-                        help="problem JSON file or catalog spec")
-    parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="write the stratification summary as JSON")
-    parser.add_argument("--svg", dest="svg_path", metavar="PATH",
-                        help="write a picture (rank <= 2 only)")
-    parser.add_argument("--verify", action="store_true",
-                        help="cross-check stratify output against the naive oracle")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="list every candidate instead of one per Weyl orbit")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in ("stratify", "candidates", "tree", "verify"):
+        command = commands.add_parser(name)
+        command.add_argument("input", help="problem JSON file or catalog spec")
+        if name == "stratify":
+            command.add_argument("--json", dest="json_path", metavar="PATH", type=_output_path,
+                                 help="write the stratification summary as JSON")
+            command.add_argument("--svg", dest="svg_path", metavar="PATH", type=_output_path,
+                                 help="write a picture (rank <= 2 only)")
+            command.add_argument("--verify", action="store_true",
+                                 help="cross-check the output against the naive oracle")
+        command.add_argument("--no-dedup", action="store_true",
+                             help="list every candidate instead of one per Weyl orbit")
+    commands.add_parser("catalog-list")
     return parser
 
 
@@ -78,6 +87,8 @@ def load_problem(text: str) -> Problem:
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{text}: {getattr(exc, 'strerror', None) or exc}") from exc
         return problem_from_json(data)
+    if text.endswith(".json"):
+        raise InputError(f"{text}: no such file")
     return parse_catalog_spec(text)
 
 
@@ -110,25 +121,13 @@ def _run_verification(problem: ValidatedProblem, dedup: bool,
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "catalog-list":
-        if args.input is not None:
-            raise InputError("catalog-list takes no input argument")
         return _catalog_list()
-    if args.input is None:
-        raise InputError(f"{args.command} requires an input argument")
-    if args.command != "stratify":
-        for flag, value in (("--json", args.json_path), ("--svg", args.svg_path)):
-            if value is not None:
-                raise InputError(f"{flag} is only valid with the stratify command")
-        if args.verify and args.command != "verify":
-            raise InputError("--verify is only valid with the stratify command")
-
     problem = validate(load_problem(args.input))
-    if args.svg_path:
-        check_drawable(problem.rank)
     dedup = not args.no_dedup
-
     if args.command == "verify":
         return _run_verification(problem, dedup)
+    if args.command == "stratify" and args.svg_path is not None:
+        check_drawable(problem.rank)
 
     summary = stratify(problem, dedup=dedup)
 
@@ -142,10 +141,9 @@ def _run(args: argparse.Namespace) -> int:
 
     sys.stdout.write(to_text(summary))
     for path, render in ((args.json_path, to_json_text), (args.svg_path, render_svg)):
-        if path:
-            text = render(summary)
+        if path is not None:
             try:
-                Path(path).write_text(text)
+                Path(path).write_text(render(summary))
             except OSError as exc:
                 raise InputError(f"{path}: {exc.strerror or exc}") from exc
     return _run_verification(problem, dedup, summary) if args.verify else 0
@@ -153,21 +151,14 @@ def _run(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except ValidationError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, ResourceError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,7 +30,8 @@ from nullcone.svg import render_svg
 
 from conftest import CATALOG_SPECS
 
-QUBITS3 = Path(__file__).resolve().parents[1] / "bench" / "problems" / "qubits3.json"
+ROOT = Path(__file__).resolve().parents[1]
+QUBITS3 = ROOT / "bench" / "problems" / "qubits3.json"
 
 
 def _summary(spec, **kw):
@@ -349,12 +351,59 @@ class TestCli:
         assert main(["catalog-list", "extra"]) == 1
         assert main(["candidates", "adjoint:a2", "--json", "x.json"]) == 1
         assert main(["frobnicate", "adjoint:a2"]) == 1  # bad command
+        capsys.readouterr()
+        # a missing .json file is not read as a catalog spec
         assert main(["stratify", "no/such/file.json"]) == 1
+        assert capsys.readouterr().err == "error: no/such/file.json: no such file\n"
         assert main(["stratify", "adjoint:a2", "--orbit-cap", "0"]) == 1
         assert main(["stratify", "adjoint:a2", "--orbit-cap", "x"]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text('{"rank": 1')
         assert main(["stratify", str(bad)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["candidates", "adjoint:a1", "--json", "p"],
+        ["tree", "adjoint:a1", "--svg", "p"],
+        ["tree", "adjoint:a1", "--verify"],
+        ["verify", "adjoint:a1", "--verify"],
+        ["catalog-list", "--no-dedup"],
+        ["catalog-list", "extra"],
+    ], ids=" ".join)
+    def test_argument_of_another_command_refused(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unrecognized arguments: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["stratify", "adjoint:a2", "--svg", "", "--json", ""], "--svg"),
+        (["stratify", "adjoint:a2", "--json", ""], "--json"),
+        (["stratify", "adjoint:a3", "--svg", ""], "--svg"),
+    ])
+    def test_empty_output_path_refused(self, argv, flag, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: argument {flag}: empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, own_flags", [("stratify", True), ("tree", False)])
+    def test_help_lists_the_command_flags(self, command, own_flags, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert "--no-dedup" in out
+        assert [flag in out for flag in ("--json", "--svg", "--verify")] == [own_flags] * 3
+
+    def test_readme_command_lines(self, capsys, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert lines and all(line.startswith("nullcone ") for line in lines)
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
 
     def test_directory_input_exits_1(self, capsys, tmp_path):
         assert main(["stratify", str(tmp_path)]) == 1
