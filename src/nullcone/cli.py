@@ -13,7 +13,9 @@ otherwise it is parsed as a catalog spec.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -51,8 +53,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _output_path(text: str) -> str:
+    """Refuse, before the solve, a path whose write is sure to fail.  The
+    error names no argument, so it reads as the failed write would."""
     if not text:
         raise argparse.ArgumentTypeError("empty path")
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentError(None, f"{text}: {os.strerror(errno.EISDIR)}")
+    if not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        raise argparse.ArgumentError(None, f"{text}: {os.strerror(code)}")
     return text
 
 

@@ -1,11 +1,14 @@
 """Independent verifiers for the enumeration and the engine.
 
 The naive enumeration here deliberately ignores the subset strategy of
-`candidates`: it walks every nonempty subset of the distinct weights and
+`candidates`: it decides every nonempty subset of the distinct weights and
 applies the defining conditions literally, with its own counting code.
 Agreement between the two is the main correctness check of the package.
-One level pass per subset serves both its saturation test and its count
-of the weights below the hyperplane.
+A subset whose foot is the origin is dropped, and a superset may inherit
+that zero foot with no `perp` call: perp(S) = 0 exactly when 0 is in
+aff(S), and aff(S) grows with S.  One level pass per subset with a
+nonzero foot serves both its saturation test and its count of the weights
+below the hyperplane.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec
     """Candidate vectors from an exhaustive scan of all weight subsets.
 
     Bit i of `mask` is weight i; the weights are distinct, so a subset is
-    saturated exactly when the bits of the weights at height 1 are `mask`."""
+    saturated exactly when the bits of the weights at height 1 are `mask`.
+    A mask inherits a zero foot from its submask without its lowest or its
+    highest bit, by the module docstring's proof; a zero foot this misses
+    is found by `perp`."""
     entries = problem.weights
     n = len(entries)
     if n > MAX_WEIGHTS:
@@ -63,10 +69,15 @@ def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec
     space = problem.space
     points = [v for v, _ in entries]
     found: set[Vec] = set()
+    zero = bytearray(1 << n)  # zero[mask]: the subset's foot is the origin
     for mask in range(1, 1 << n):
+        if zero[mask & (mask - 1)] or zero[mask ^ (1 << (mask.bit_length() - 1))]:
+            zero[mask] = 1
+            continue
         subset = [points[i] for i in range(n) if mask >> i & 1]
         foot = perp(space, subset)
         if is_zero_vec(foot):
+            zero[mask] = 1
             continue
         l = vscale(1 / space.norm_sq(foot), foot)
         heights = [space.inner(l, v) for v in points]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from fractions import Fraction as Q
 
-from nullcone import oracle
+from nullcone import oracle, ratgeom
 from nullcone.candidates import enumerate_candidates
 from nullcone.cli import load_problem
 from nullcone.oracle import (
@@ -24,9 +24,12 @@ from nullcone.ratgeom import (
     InputError,
     ResourceError,
     gram_violations,
+    is_zero_vec,
     parse_vector,
 )
 from nullcone.rootdata import parse_catalog_spec, validate
+
+from conftest import CATALOG_SPECS
 
 BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
@@ -60,14 +63,15 @@ class TestNaive:
 
 
 @pytest.mark.parametrize("source, inner_calls, perp_calls", [
-    ("qubits3.json", 1230, 255),
-    ("g2-adjoint", 2160, 8191),
-    ("sl3-forms:4", 3522, 32767),
-])
+    ("qubits3.json", 1140, 112),
+    ("g2-adjoint", 2124, 275),
+    ("sl3-forms:4", 3516, 523),
+], ids=["qubits3.json", "g2-adjoint", "sl3-forms:4"])
 def test_naive_work_counts(monkeypatch, source, inner_calls, perp_calls):
     """The oracle's `GramSpace.inner` and `perp` calls, exact: one `perp` per
-    nonempty subset, and one level pass over the weights per nonzero foot
-    (the calls inside `perp` and for the roots count too)."""
+    nonempty subset whose foot is not inherited as the origin from a
+    submask, and one level pass over the weights per nonzero foot (the calls
+    inside `perp` and for the roots count too)."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
     calls = {"inner": 0, "perp": 0}
@@ -85,6 +89,43 @@ def test_naive_work_counts(monkeypatch, source, inner_calls, perp_calls):
     monkeypatch.setattr(oracle, "perp", counting_perp)
     oracle.naive_candidates(problem)
     assert (calls["inner"], calls["perp"]) == (inner_calls, perp_calls)
+
+
+def _soundness_problems():
+    for spec in CATALOG_SPECS:
+        problem = validate(parse_catalog_spec(spec))
+        if len(problem.weights) <= 12:
+            yield spec, problem
+    yield "qubits3", validate(load_problem(str(BENCH_PROBLEMS / "qubits3.json")))
+    rng = random.Random(30)
+    for i in range(30):
+        yield f"random:{i}", validate(random_problem(rng))
+
+
+def test_naive_skips_only_zero_feet(monkeypatch):
+    """Every nonempty subset that `naive_candidates` hands no `perp` call
+    has the origin as its foot, so skipping it cannot change the result."""
+    solved = []
+
+    def recording_perp(space, points):
+        solved.append(tuple(points))
+        return ratgeom.perp(space, points)
+
+    monkeypatch.setattr(oracle, "perp", recording_perp)
+    checked = 0
+    for name, problem in _soundness_problems():
+        solved.clear()
+        naive_candidates(problem)
+        points = [v for v, _ in problem.weights]
+        n = len(points)
+        asked = set(solved)
+        assert len(asked) == len(solved), name  # each subset solved at most once
+        for mask in range(1, 1 << n):
+            subset = tuple(points[i] for i in range(n) if mask >> i & 1)
+            if subset not in asked:
+                assert is_zero_vec(ratgeom.perp(problem.space, subset)), (name, subset)
+                checked += 1
+    assert checked > 0
 
 
 class TestRank2Law:

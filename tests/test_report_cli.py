@@ -421,6 +421,20 @@ class TestCli:
         assert main(["stratify", "adjoint:a1", flag, str(target)]) == 1
         assert f"error: {target}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out", "No such file or directory"),
+        (".", "Is a directory"),
+        ("file/out", "Not a directory"),
+    ])
+    def test_unwritable_output_refused_before_solve(self, flag, target, reason, capsys,
+                                                    tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        assert main(["stratify", "adjoint:a2", flag, target]) == 1
+        assert capsys.readouterr() == ("", f"error: {target}: {reason}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     @pytest.mark.parametrize("spec, message", [
         ("torus:", "torus needs at least one weight vector"),
         ("torus: ", "torus needs at least one weight vector"),
