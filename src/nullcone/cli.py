@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .engine import NullconeSummary, stratify
-from .oracle import check_rank2_law, compare_with_naive
+from .oracle import check_naive_bound, check_rank2_law, compare_with_naive
 from .ratgeom import InputError, InvariantError, ResourceError
 from .report import (
     _reject_float,
@@ -136,8 +136,11 @@ def _run(args: argparse.Namespace) -> int:
     dedup = not args.no_dedup
     if args.command == "verify":
         return _run_verification(problem, dedup)
-    if args.command == "stratify" and args.svg_path is not None:
-        check_drawable(problem.rank)
+    if args.command == "stratify":
+        if args.svg_path is not None:
+            check_drawable(problem.rank)
+        if args.verify:
+            check_naive_bound(problem)
 
     summary = stratify(problem, dedup=dedup)
 

@@ -6,9 +6,12 @@ applies the defining conditions literally, with its own counting code.
 Agreement between the two is the main correctness check of the package.
 A subset whose foot is the origin is dropped, and a superset may inherit
 that zero foot with no `perp` call: perp(S) = 0 exactly when 0 is in
-aff(S), and aff(S) grows with S.  One level pass per subset with a
-nonzero foot serves both its saturation test and its count of the weights
-below the hyperplane.
+aff(S), and aff(S) grows with S.  The weights and roots are cleared to
+integers once per problem, and a subset with a nonzero foot takes one
+integer covector of its l (`GramSpace.covector`): one level pass with it
+serves the saturation test, the count of the weights below the hyperplane
+and the count of the negative roots, with no `Fraction` built.  The oracle
+reads `ratgeom` only, never the enumeration's integer kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, reduce
+from operator import mul
 from typing import Sequence, Union
 
 from .candidates import enumerate_candidates
@@ -27,6 +31,7 @@ from .ratgeom import (
     ResourceError,
     Vec,
     in_convex_hull,
+    integer_point,
     is_zero_vec,
     parse_rational,
     perp,
@@ -53,6 +58,15 @@ class OracleReport:
     law_violations: list[str]
 
 
+def check_naive_bound(problem: ValidatedProblem) -> None:
+    """Raise ResourceError if the problem has more distinct weights than the
+    naive scan of all their subsets takes."""
+    n = len(problem.weights)
+    if n > MAX_WEIGHTS:
+        raise ResourceError(
+            f"{n} distinct weights exceed the naive-subset bound {MAX_WEIGHTS}")
+
+
 def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec, ...]:
     """Candidate vectors from an exhaustive scan of all weight subsets.
 
@@ -60,14 +74,17 @@ def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec
     saturated exactly when the bits of the weights at height 1 are `mask`.
     A mask inherits a zero foot from its submask without its lowest or its
     highest bit, by the module docstring's proof; a zero foot this misses
-    is found by `perp`."""
+    is found by `perp`.  With l's covector (c, k) and a weight cleared as
+    b / t, the weight is at height 1 exactly when c . b = k t and below it
+    exactly when c . b < k t, since k t > 0; a root b is negative exactly
+    when c . b < 0."""
+    check_naive_bound(problem)
     entries = problem.weights
     n = len(entries)
-    if n > MAX_WEIGHTS:
-        raise ResourceError(
-            f"{n} distinct weights exceed the naive-subset bound {MAX_WEIGHTS}")
     space = problem.space
     points = [v for v, _ in entries]
+    cleared = [integer_point(v) for v in points]
+    roots = [integer_point(alpha)[0] for alpha in problem.roots]
     found: set[Vec] = set()
     zero = bytearray(1 << n)  # zero[mask]: the subset's foot is the origin
     for mask in range(1, 1 << n):
@@ -80,14 +97,14 @@ def naive_candidates(problem: ValidatedProblem, dedup: bool = True) -> tuple[Vec
             zero[mask] = 1
             continue
         l = vscale(1 / space.norm_sq(foot), foot)
-        heights = [space.inner(l, v) for v in points]
-        if sum(1 << i for i, h in enumerate(heights) if h == 1) != mask:
+        c, k = space.covector(l)
+        excess = [sum(map(mul, c, b)) - k * t for b, t in cleared]
+        if sum(1 << i for i, e in enumerate(excess) if not e) != mask:
             continue
         if not in_convex_hull(space, foot, subset):
             continue
-        negative_roots = sum(1 for alpha in problem.roots
-                             if space.inner(l, alpha) < 0)
-        below = sum(m for (_, m), h in zip(entries, heights) if h < 1)
+        negative_roots = sum(1 for b in roots if sum(map(mul, c, b)) < 0)
+        below = sum(m for (_, m), e in zip(entries, excess) if e < 0)
         if negative_roots > below:
             continue
         found.add(l)
@@ -108,6 +125,7 @@ def compare_with_naive(problem: Union[Problem, ValidatedProblem],
                        dedup: bool = True) -> OracleReport:
     if isinstance(problem, Problem):
         problem = validate(problem)
+    check_naive_bound(problem)
     engine_set = {c.l for c in enumerate_candidates(problem, dedup=dedup)}
     oracle_set = set(naive_candidates(problem, dedup=dedup))
     mismatches = [(l, "engine") for l in sorted(engine_set - oracle_set)]

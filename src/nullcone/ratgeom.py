@@ -3,7 +3,9 @@
 Vectors are tuples of Fraction; the inner product is given by a rational
 Gram matrix.  Every predicate in this module is decided exactly: no floats,
 no tolerances.  `GramSpace.inner`, `perp` and `in_convex_hull` take Fractions
-but compute in Python ints with exact division, to the same results.
+but compute in Python ints with exact division, to the same results;
+`GramSpace.covector` hands a vector's integer covector to callers that take
+many inner products with it.
 """
 
 from __future__ import annotations
@@ -199,6 +201,15 @@ class GramSpace:
         b, t = integer_point(v)
         return Q(sum(x * sum(map(mul, row, b)) for x, row in zip(a, rows) if x),
                  s * t * den)
+
+    def covector(self, u: Vec) -> tuple[tuple[int, ...], int]:
+        """u as an integer covector (c, k): with u = a / s and gram = G / D,
+        c = G a and k = s D > 0, so inner(u, v) = (c . b) / (k t) for any
+        v = b / t, with no `Fraction` built."""
+        self.check_dim(u)
+        rows, den = self.integer_gram
+        a, s = integer_point(u)
+        return tuple([sum(map(mul, row, a)) for row in rows]), s * den
 
     def norm_sq(self, v: Vec) -> Q:
         return self.inner(v, v)

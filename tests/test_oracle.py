@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from fractions import Fraction as Q
 
-from nullcone import oracle, ratgeom
+from nullcone import oracle, ratgeom, rootdata
 from nullcone.candidates import enumerate_candidates
 from nullcone.cli import load_problem
 from nullcone.oracle import (
@@ -27,7 +27,7 @@ from nullcone.ratgeom import (
     is_zero_vec,
     parse_vector,
 )
-from nullcone.rootdata import parse_catalog_spec, validate
+from nullcone.rootdata import Problem, parse_catalog_spec, validate
 
 from conftest import CATALOG_SPECS
 
@@ -54,6 +54,14 @@ class TestNaive:
         with pytest.raises(ResourceError):
             naive_candidates(problem)
 
+    def test_bound_decided_before_the_engine_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the engine ran past the naive-subset bound")
+
+        monkeypatch.setattr(oracle, "enumerate_candidates", refuse)
+        with pytest.raises(ResourceError, match="19 distinct weights exceed"):
+            compare_with_naive(parse_catalog_spec("adjoint:b3"))
+
     def test_medium_binary_forms(self):
         problem = validate(parse_catalog_spec("sl2-forms:12"))
         naive = naive_candidates(problem)
@@ -62,43 +70,50 @@ class TestNaive:
         assert len(naive) == 6  # orbits of 1/k for k = 2, 4, ..., 12
 
 
-@pytest.mark.parametrize("source, inner_calls, perp_calls", [
-    ("qubits3.json", 1140, 112),
-    ("g2-adjoint", 2124, 275),
-    ("sl3-forms:4", 3516, 523),
+@pytest.mark.parametrize("source, inner_calls, covector_calls, perp_calls", [
+    ("qubits3.json", 376, 70, 112),
+    ("g2-adjoint", 294, 102, 275),
+    ("sl3-forms:4", 519, 177, 523),
 ], ids=["qubits3.json", "g2-adjoint", "sl3-forms:4"])
-def test_naive_work_counts(monkeypatch, source, inner_calls, perp_calls):
-    """The oracle's `GramSpace.inner` and `perp` calls, exact: one `perp` per
-    nonempty subset whose foot is not inherited as the origin from a
-    submask, and one level pass over the weights per nonzero foot (the calls
-    inside `perp` and for the roots count too)."""
+def test_naive_work_counts(monkeypatch, source, inner_calls, covector_calls, perp_calls):
+    """The oracle's `GramSpace.inner`, `GramSpace.covector` and `perp` calls,
+    exact: one `perp` per nonempty subset whose foot is not inherited as the
+    origin from a submask, and per nonzero foot one `norm_sq` and one
+    covector, whose integer level pass over the weights and roots calls
+    `inner` no more (the calls inside `perp` count too)."""
     path = BENCH_PROBLEMS / source
     problem = validate(load_problem(str(path) if path.exists() else source))
-    calls = {"inner": 0, "perp": 0}
-    inner, perp = GramSpace.inner, oracle.perp
+    calls = {"inner": 0, "covector": 0, "perp": 0}
+    inner, covector, perp = GramSpace.inner, GramSpace.covector, oracle.perp
 
     def counting_inner(space, u, v):
         calls["inner"] += 1
         return inner(space, u, v)
+
+    def counting_covector(space, u):
+        calls["covector"] += 1
+        return covector(space, u)
 
     def counting_perp(space, points):
         calls["perp"] += 1
         return perp(space, points)
 
     monkeypatch.setattr(GramSpace, "inner", counting_inner)
+    monkeypatch.setattr(GramSpace, "covector", counting_covector)
     monkeypatch.setattr(oracle, "perp", counting_perp)
     oracle.naive_candidates(problem)
-    assert (calls["inner"], calls["perp"]) == (inner_calls, perp_calls)
+    assert (calls["inner"], calls["covector"], calls["perp"]) == (
+        inner_calls, covector_calls, perp_calls)
 
 
-def _soundness_problems():
+def _soundness_problems(randoms=30):
     for spec in CATALOG_SPECS:
         problem = validate(parse_catalog_spec(spec))
         if len(problem.weights) <= 12:
             yield spec, problem
     yield "qubits3", validate(load_problem(str(BENCH_PROBLEMS / "qubits3.json")))
     rng = random.Random(30)
-    for i in range(30):
+    for i in range(randoms):
         yield f"random:{i}", validate(random_problem(rng))
 
 
@@ -126,6 +141,46 @@ def test_naive_skips_only_zero_feet(monkeypatch):
                 assert is_zero_vec(ratgeom.perp(problem.space, subset)), (name, subset)
                 checked += 1
     assert checked > 0
+
+
+def test_naive_reads_no_integer_kernel(monkeypatch):
+    """The oracle stays independent of the enumeration's integer kernel: with
+    the `IntegerLattice` methods the engine decides candidates by raising,
+    it finds the same vectors."""
+    problems = list(_soundness_problems(randoms=8))
+    expected = [naive_candidates(problem, dedup=False) for _, problem in problems]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the naive oracle called the integer kernel")
+
+    for name in ("levels", "subset_feet", "hull_contains", "direction", "in_chamber",
+                 "in_positive_cone"):
+        monkeypatch.setattr(rootdata.IntegerLattice, name, refuse)
+    for (name, problem), found in zip(problems, expected):
+        assert naive_candidates(problem, dedup=False) == found, name
+
+
+def _rescaled(problem, c):
+    """The problem in coordinates scaled by c: weights and roots times c and
+    the form over c^2, so every inner product is the same and each candidate
+    l becomes c l.  For c = 1/2 or 2/3 most weights are not integral."""
+    space = problem.space
+    gram = tuple(tuple(x / c ** 2 for x in row) for row in space.gram)
+    return validate(Problem(GramSpace(space.rank, gram),
+                            tuple(tuple(c * x for x in alpha) for alpha in problem.roots),
+                            tuple((tuple(c * x for x in v), m) for v, m in problem.weights)))
+
+
+@pytest.mark.parametrize("c", [Q(1, 2), Q(2, 3)])
+def test_naive_on_non_integral_weights(c):
+    """Every weight scaled by c is cleared with its own denominator t; the
+    oracle finds c l for each l of the integral problem, as the engine does."""
+    for name, problem in _soundness_problems(randoms=8):
+        scaled = _rescaled(problem, c)
+        expected = tuple(sorted(tuple(c * x for x in l)
+                                for l in naive_candidates(problem, dedup=False)))
+        assert naive_candidates(scaled, dedup=False) == expected, name
+        assert compare_with_naive(scaled).candidate_set_match, name
 
 
 class TestRank2Law:

@@ -335,6 +335,50 @@ def test_inner_is_the_double_sum(data):
     assert type(got) is Q and got == expected
 
 
+def covector_inner(space, u, v):
+    c, k = space.covector(u)
+    b, t = integer_point(v)
+    assert all(type(x) is int for x in c) and type(k) is int and k > 0
+    return Q(sum(x * y for x, y in zip(c, b)), k * t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_covector_gives_the_inner_product(data):
+    space, points = data
+    zero = zero_vec(space.rank)
+    for u, v in ((points[0], points[-1]), (points[-1], points[0]),
+                 (zero, points[0]), (points[0], zero)):
+        assert covector_inner(space, u, v) == space.inner(u, v)
+
+
+class TestCovector:
+    def test_non_integer_forms(self):
+        # the forms and points of TestPerp and test_space_inner
+        cases = [
+            (make_space([[2, -1], [-1, 2]]), [1, 0], [0, 1]),
+            (make_space([[2, 1], [1, 2]]), ["1/3", "2/3"], [1, 0]),
+            (make_space([[2, 1], [1, "2/3"]]), ["1/2", 1], ["-1/2", -1]),
+            (make_space([["1/97", 0], [0, "1/101"]]),
+             ["1/7919", "-1/104729"], ["1/3", "1/1299709"]),
+        ]
+        for space, u, v in cases:
+            u, v = parse_vector(u), parse_vector(v)
+            for a, b in ((u, v), (v, u), (u, u)):
+                assert covector_inner(space, a, b) == space.inner(a, b)
+
+    def test_int_entries_and_the_zero_vector(self):
+        space = make_space([[2, "1/2"], ["1/2", "1/3"]])
+        assert space.covector((3, -1)) == ((33, 7), 6)
+        assert space.covector((Q(3), Q(-1))) == ((33, 7), 6)
+        assert space.covector(zero_vec(2)) == ((0, 0), 6)
+        assert covector_inner(space, (3, -1), (Q(1, 2), 5)) == space.inner((3, -1), (Q(1, 2), 5))
+
+    def test_dimension_checked(self):
+        with pytest.raises(InputError, match=r"vector \[1, 2\] has length 2"):
+            make_space([[1]]).covector((1, 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(point_sets())
 def test_perp_is_the_orthogonal_point_of_the_hull(data):

@@ -499,6 +499,15 @@ class TestCli:
         assert main(["verify", "adjoint:b3"]) == 2
         assert "exceed the naive-subset bound 16" in capsys.readouterr().err
 
+    def test_verify_past_the_bound_refused_before_solve(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # the bound is decided before the solve: no report, no output file
+        monkeypatch.chdir(tmp_path)
+        assert main(["stratify", "adjoint:b3", "--verify", "--json", "out.json"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: 19 distinct weights exceed the naive-subset bound 16\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["stratify", "gl2-ex3:2,1", "--verify"],
                                       ["verify", "gl2-ex3:2,1"]])
     def test_problem_validated_once(self, argv, capsys, monkeypatch):
